@@ -390,8 +390,7 @@ func fullyAnswerable(it *itree.T, q query.Query, bud *budget.B) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	eff := ansEffective(ans)
-	useful := eff.Useful()
+	useful := ans.Type.Useful(ans.Satisfiable)
 	usefulRoots := false
 	for _, r := range ans.Type.Roots {
 		if useful[r] {
@@ -429,16 +428,6 @@ func fullyAnswerable(it *itree.T, q query.Query, bud *budget.B) (bool, error) {
 	return true, nil
 }
 
-// ansEffective builds a ctype with effective conditions for usefulness
-// analysis of an answer tree.
-func ansEffective(ans *itree.T) *ctype.Type {
-	out := ans.Type.Clone()
-	for _, s := range out.Symbols() {
-		out.Cond[s] = ans.EffectiveCond(s)
-	}
-	return out
-}
-
 // CertainAnswerPrefix reports whether t is a certain prefix of the answers
 // to q on rep(T) (Theorem 3.17).
 func CertainAnswerPrefix(it *itree.T, q query.Query, t tree.Tree) (bool, error) {
@@ -468,7 +457,7 @@ func PossiblyNonEmpty(it *itree.T, q query.Query) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		return len(ans.Type.Roots) > 0 && !ansEffective(ans).Empty(), nil
+		return ans.HasNonemptyWorld(), nil
 	})
 }
 
@@ -483,6 +472,6 @@ func CertainlyNonEmpty(it *itree.T, q query.Query) (bool, error) {
 		if ans.MayBeEmpty {
 			return false, nil
 		}
-		return len(ans.Type.Roots) > 0 && !ansEffective(ans).Empty(), nil
+		return ans.HasNonemptyWorld(), nil
 	})
 }

@@ -44,7 +44,7 @@ func PossiblyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget
 		if err != nil {
 			return false, err
 		}
-		return len(ans.Type.Roots) > 0 && !ansEffective(ans).Empty(), nil
+		return ans.HasNonemptyWorld(), nil
 	})
 }
 
@@ -58,7 +58,7 @@ func CertainlyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budge
 		if ans.MayBeEmpty {
 			return false, nil
 		}
-		return len(ans.Type.Roots) > 0 && !ansEffective(ans).Empty(), nil
+		return ans.HasNonemptyWorld(), nil
 	})
 }
 

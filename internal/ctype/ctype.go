@@ -157,7 +157,14 @@ func FromDTD(t *dtd.Type) *Type {
 
 // Symbols returns the sorted specialized alphabet Σ′.
 func (t *Type) Symbols() []Symbol {
-	set := map[Symbol]bool{}
+	out := t.alphabet()
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// alphabet returns Σ′ in no particular order.
+func (t *Type) alphabet() []Symbol {
+	set := make(map[Symbol]bool, len(t.Sigma))
 	for _, r := range t.Roots {
 		set[r] = true
 	}
@@ -176,7 +183,6 @@ func (t *Type) Symbols() []Symbol {
 	for s := range set {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -270,28 +276,32 @@ func (t *Type) String() string {
 // least one finite data tree can be derived (the fixpoint underlying
 // Lemma 2.5, analogous to CFG emptiness).
 //
-// A symbol s is productive iff cond(s) is satisfiable and some disjunct of
-// µ(s) has all of its 1/+ items productive.
-func (t *Type) Productive() map[Symbol]bool {
-	prod := map[Symbol]bool{}
+// A symbol s is productive iff its condition is satisfiable — as decided by
+// sat, or by cond(s).Satisfiable() when sat is nil — and some disjunct of
+// µ(s) has all of its 1/+ items productive. The predicate lets callers that
+// strengthen conditions (incomplete trees pin node symbols to ν(n)) decide
+// satisfiability directly instead of materializing a re-conditioned copy of
+// the type.
+func (t *Type) Productive(sat func(Symbol) bool) map[Symbol]bool {
+	if sat == nil {
+		sat = t.condSatisfiable
+	}
+	syms := t.alphabet()
+	live := make([]Symbol, 0, len(syms))
+	for _, s := range syms {
+		if sat(s) {
+			live = append(live, s)
+		}
+	}
+	prod := make(map[Symbol]bool, len(live))
 	for changed := true; changed; {
 		changed = false
-		for _, s := range t.Symbols() {
+		for _, s := range live {
 			if prod[s] {
 				continue
 			}
-			if !t.CondFor(s).Satisfiable() {
-				continue
-			}
 			for _, a := range t.DisjFor(s) {
-				ok := true
-				for _, it := range a {
-					if (it.Mult == dtd.One || it.Mult == dtd.Plus) && !prod[it.Sym] {
-						ok = false
-						break
-					}
-				}
-				if ok {
+				if viable(a, prod) {
 					prod[s] = true
 					changed = true
 					break
@@ -302,9 +312,21 @@ func (t *Type) Productive() map[Symbol]bool {
 	return prod
 }
 
+func (t *Type) condSatisfiable(s Symbol) bool { return t.CondFor(s).Satisfiable() }
+
+// viable reports whether every 1/+ item of the atom is productive.
+func viable(a SAtom, prod map[Symbol]bool) bool {
+	for _, it := range a {
+		if (it.Mult == dtd.One || it.Mult == dtd.Plus) && !prod[it.Sym] {
+			return false
+		}
+	}
+	return true
+}
+
 // Empty reports whether rep(τ) = ∅ (Lemma 2.5; PTIME).
 func (t *Type) Empty() bool {
-	prod := t.Productive()
+	prod := t.Productive(nil)
 	for _, r := range t.Roots {
 		if prod[r] {
 			return false
@@ -316,10 +338,11 @@ func (t *Type) Empty() bool {
 // Useful computes the set of useful symbols (Corollary 2.6): those that
 // label some node of some tree in rep(τ). A symbol is useful iff it is
 // productive and reachable from a productive root through viable disjuncts
-// (disjuncts whose 1/+ items are all productive).
-func (t *Type) Useful() map[Symbol]bool {
-	prod := t.Productive()
-	useful := map[Symbol]bool{}
+// (disjuncts whose 1/+ items are all productive). sat decides condition
+// satisfiability as for Productive.
+func (t *Type) Useful(sat func(Symbol) bool) map[Symbol]bool {
+	prod := t.Productive(sat)
+	useful := make(map[Symbol]bool, len(prod))
 	var visit func(Symbol)
 	visit = func(s Symbol) {
 		if useful[s] || !prod[s] {
@@ -327,14 +350,7 @@ func (t *Type) Useful() map[Symbol]bool {
 		}
 		useful[s] = true
 		for _, a := range t.DisjFor(s) {
-			viable := true
-			for _, it := range a {
-				if (it.Mult == dtd.One || it.Mult == dtd.Plus) && !prod[it.Sym] {
-					viable = false
-					break
-				}
-			}
-			if !viable {
+			if !viable(a, prod) {
 				continue
 			}
 			for _, it := range a {
@@ -354,16 +370,22 @@ func (t *Type) Useful() map[Symbol]bool {
 // they are dropped from roots, from Σ′, and from atoms where they appear
 // with multiplicity ? or ⋆; atoms requiring them (1 or +) are dropped
 // entirely. The result represents the same set of trees.
-func (t *Type) TrimUseless() *Type {
-	useful := t.Useful()
+func (t *Type) TrimUseless() *Type { return t.Restrict(t.Useful(nil)) }
+
+// Restrict returns a copy of the type keeping only the symbols in keep:
+// other symbols are dropped from roots and Σ′, items of them with
+// multiplicity ? or ⋆ are dropped from atoms, and atoms requiring them
+// (1 or +) are dropped entirely. Restricting to the useful set is
+// TrimUseless.
+func (t *Type) Restrict(keep map[Symbol]bool) *Type {
 	out := New()
 	for _, r := range t.Roots {
-		if useful[r] {
+		if keep[r] {
 			out.Roots = append(out.Roots, r)
 		}
 	}
 	for s, d := range t.Mu {
-		if !useful[s] {
+		if !keep[s] {
 			continue
 		}
 		var nd Disj
@@ -371,7 +393,7 @@ func (t *Type) TrimUseless() *Type {
 			var na SAtom
 			dead := false
 			for _, it := range a {
-				if useful[it.Sym] {
+				if keep[it.Sym] {
 					na = append(na, it)
 					continue
 				}
@@ -379,7 +401,7 @@ func (t *Type) TrimUseless() *Type {
 					dead = true
 					break
 				}
-				// ? and ⋆ items of useless symbols are simply dropped.
+				// ? and ⋆ items of dropped symbols are simply dropped.
 			}
 			if !dead {
 				nd = append(nd, na)
@@ -388,12 +410,12 @@ func (t *Type) TrimUseless() *Type {
 		out.Mu[s] = nd
 	}
 	for s, c := range t.Cond {
-		if useful[s] {
+		if keep[s] {
 			out.Cond[s] = c
 		}
 	}
 	for s, tg := range t.Sigma {
-		if useful[s] {
+		if keep[s] {
 			out.Sigma[s] = tg
 		}
 	}
@@ -488,7 +510,7 @@ func (t *Type) atomMatches(children []*tree.Node, a SAtom, memo map[memoKey]bool
 // Starred/optional children are instantiated at their lower bounds, so the
 // result is a minimal witness.
 func (t *Type) WitnessTree() (tree.Tree, bool) {
-	prod := t.Productive()
+	prod := t.Productive(nil)
 	var build func(s Symbol) *tree.Node
 	build = func(s Symbol) *tree.Node {
 		tg := t.TargetFor(s)
@@ -500,14 +522,7 @@ func (t *Type) WitnessTree() (tree.Tree, bool) {
 			n = tree.New(tg.Label, w)
 		}
 		for _, a := range t.DisjFor(s) {
-			ok := true
-			for _, it := range a {
-				if (it.Mult == dtd.One || it.Mult == dtd.Plus) && !prod[it.Sym] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if !viable(a, prod) {
 				continue
 			}
 			for _, it := range a {

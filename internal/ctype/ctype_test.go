@@ -61,7 +61,7 @@ func TestFromDTD(t *testing.T) {
 
 func TestProductiveAndEmpty(t *testing.T) {
 	ty := simpleType()
-	prod := ty.Productive()
+	prod := ty.Productive(nil)
 	if !prod["r"] || !prod["a"] || !prod["b"] {
 		t.Errorf("productive = %v", prod)
 	}
@@ -102,7 +102,7 @@ func TestEmptyRecursive(t *testing.T) {
 
 func TestUseful(t *testing.T) {
 	ty := simpleType()
-	useful := ty.Useful()
+	useful := ty.Useful(nil)
 	if !useful["r"] || !useful["a"] || !useful["b"] {
 		t.Errorf("useful = %v", useful)
 	}
@@ -112,7 +112,7 @@ func TestUseful(t *testing.T) {
 	// A productive but unreachable symbol is not useful.
 	ty.Sigma["z"] = LabelTarget("z")
 	ty.Mu["z"] = Disj{SAtom{}}
-	if ty.Useful()["z"] {
+	if ty.Useful(nil)["z"] {
 		t.Error("unreachable z reported useful")
 	}
 	// A symbol required by a dead disjunct only is not useful: d appears only
@@ -122,7 +122,7 @@ func TestUseful(t *testing.T) {
 	ty.Sigma["d"] = LabelTarget("d")
 	ty.Mu["d"] = Disj{SAtom{}}
 	ty.Mu["r"] = append(ty.Mu["r"], SAtom{{Sym: "c2", Mult: dtd.One}, {Sym: "d", Mult: dtd.Star}})
-	if ty.Useful()["d"] {
+	if ty.Useful(nil)["d"] {
 		t.Error("d reachable only via dead disjunct reported useful")
 	}
 }

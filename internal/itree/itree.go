@@ -90,50 +90,46 @@ func (it *T) BaseLabel(s ctype.Symbol) (tree.Label, bool) {
 	return tg.Label, true
 }
 
-// effectiveType builds a ctype whose conditions are the effective ones, for
-// reuse of the generic emptiness/usefulness machinery.
-func (it *T) effectiveType() *ctype.Type {
-	out := it.Type.Clone()
-	for _, s := range out.Symbols() {
-		out.Cond[s] = it.EffectiveCond(s)
+// Satisfiable reports whether EffectiveCond(s) admits some value, without
+// building it: a node symbol's condition only has to hold at ν(n), and a
+// label symbol's condition only has to be satisfiable. It is the
+// satisfiability predicate under which the generic emptiness and
+// usefulness machinery of ctype runs on incomplete trees.
+func (it *T) Satisfiable(s ctype.Symbol) bool {
+	c := it.Type.CondFor(s)
+	if tg := it.Type.TargetFor(s); tg.IsNode() {
+		info, ok := it.Nodes[tg.Node]
+		return ok && c.Holds(info.Value)
 	}
-	return out
+	return c.Satisfiable()
 }
 
 // Empty reports whether rep(T) = ∅ (PTIME, as for conditional tree types).
-func (it *T) Empty() bool { return !it.MayBeEmpty && it.effectiveType().Empty() }
+func (it *T) Empty() bool { return !it.MayBeEmpty && !it.HasNonemptyWorld() }
+
+// HasNonemptyWorld reports whether some nonempty data tree is in rep(T):
+// some root symbol is productive under effective conditions.
+func (it *T) HasNonemptyWorld() bool {
+	prod := it.Type.Productive(it.Satisfiable)
+	for _, r := range it.Type.Roots {
+		if prod[r] {
+			return true
+		}
+	}
+	return false
+}
 
 // TrimUseless returns a copy with useless symbols (under effective
 // conditions) removed; rep is unchanged. Data nodes no longer referenced by
 // any symbol are dropped from N.
 func (it *T) TrimUseless() *T {
-	eff := it.effectiveType()
-	useful := eff.Useful()
-	out := New()
-	// Remove useless symbols using the generic trimmer over a type whose
-	// conditions are effective, then restore the original conditions.
-	tmp := eff.TrimUseless()
-	for s := range tmp.Sigma {
-		if c, ok := it.Type.Cond[s]; ok {
-			tmp.Cond[s] = c
-		} else {
-			delete(tmp.Cond, s)
-		}
-	}
-	out.Type = tmp
-	out.MayBeEmpty = it.MayBeEmpty
-	referenced := map[tree.NodeID]bool{}
-	for s := range tmp.Sigma {
-		if !useful[s] {
-			continue
-		}
-		if tg := tmp.TargetFor(s); tg.IsNode() {
-			referenced[tg.Node] = true
-		}
-	}
-	for n, info := range it.Nodes {
-		if referenced[n] {
-			out.Nodes[n] = info
+	useful := it.Type.Useful(it.Satisfiable)
+	out := &T{Nodes: map[tree.NodeID]NodeInfo{}, Type: it.Type.Restrict(useful), MayBeEmpty: it.MayBeEmpty}
+	for s := range useful {
+		if tg := it.Type.TargetFor(s); tg.IsNode() {
+			if info, ok := it.Nodes[tg.Node]; ok {
+				out.Nodes[tg.Node] = info
+			}
 		}
 	}
 	return out
@@ -441,8 +437,7 @@ func (it *T) Validate() error {
 
 // Witness returns some data tree in rep(T), or false when rep is empty.
 func (it *T) Witness() (tree.Tree, bool) {
-	eff := it.effectiveType()
-	prod := eff.Productive()
+	prod := it.Type.Productive(it.Satisfiable)
 	var build func(s ctype.Symbol) *tree.Node
 	build = func(s ctype.Symbol) *tree.Node {
 		tg := it.Type.TargetFor(s)

@@ -30,14 +30,12 @@ func (it *T) IsPossiblePrefix(t tree.Tree) bool {
 }
 
 func (it *T) isPossiblePrefix(t tree.Tree) bool {
-	if it.Empty() {
-		return false
-	}
-	// Only nonempty trees of rep(T) can have a nonempty prefix.
-	if it.effectiveType().Empty() {
-		return false
-	}
+	// Only nonempty trees of rep(T) can have a nonempty prefix, and those
+	// exist iff a useful root survives the trim.
 	w := it.TrimUseless()
+	if len(w.Type.Roots) == 0 {
+		return false
+	}
 	poss := w.prefixSets(t, false)
 	for _, r := range w.Type.Roots {
 		if poss[t.Root][r] {
@@ -63,14 +61,15 @@ func (it *T) IsCertainPrefix(t tree.Tree) bool {
 }
 
 func (it *T) isCertainPrefix(t tree.Tree) bool {
-	if it.Empty() {
-		return false
-	}
 	// If the empty tree is a possible world, no nonempty prefix is certain.
 	if it.MayBeEmpty {
 		return false
 	}
+	// With no useful root, rep(T) is empty and nothing is certain.
 	w := it.TrimUseless()
+	if len(w.Type.Roots) == 0 {
+		return false
+	}
 	cert := w.prefixSets(t, true)
 	// Every surviving root symbol is useful (nonempty rep), so all must
 	// certainly produce t.
@@ -79,7 +78,7 @@ func (it *T) isCertainPrefix(t tree.Tree) bool {
 			return false
 		}
 	}
-	return len(w.Type.Roots) > 0
+	return true
 }
 
 // prefixSets computes Poss(n) (certain=false) or Cert(n) (certain=true) for

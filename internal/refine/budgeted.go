@@ -75,24 +75,21 @@ func (r *Refiner) ObserveBudgeted(q query.Query, a tree.Tree, bud *budget.B, shr
 		}
 		degradedNow = true
 	}
-	if r.CompactEach {
-		next = Compact(next)
+	// rep(true refinement) ⊆ rep(next), so an empty next soundly signals
+	// inconsistency. It is checked before the shrink below: shrinking only
+	// widens rep, and could hide an empty next.
+	next, empty := r.compact(next)
+	if empty {
+		return r.lossy, fmt.Errorf("%w (after %d observations)", ErrInconsistent, r.steps+1)
 	}
 	if degradedNow && next.Size() > shrinkTo {
 		next = heuristics.LossyShrink(next, shrinkTo)
 	}
-	// rep(true refinement) ⊆ rep(next) even after shrinking, so an empty
-	// next still soundly signals inconsistency.
-	if next.Empty() {
-		return r.lossy, fmt.Errorf("%w (after %d observations)", ErrInconsistent, r.steps+1)
+	withType, err := r.checkSourceType(next)
+	if err != nil {
+		return r.lossy, err
 	}
-	if r.source != nil {
-		if reach := WithTreeType(next, r.source); reach.Empty() {
-			return r.lossy, fmt.Errorf("%w (answers conflict with the source type after %d observations)", ErrInconsistent, r.steps+1)
-		}
-	}
-	r.cur = next
-	r.steps++
+	r.commit(next, withType)
 	if degradedNow {
 		r.lossy = true
 	}

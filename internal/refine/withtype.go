@@ -1,6 +1,8 @@
 package refine
 
 import (
+	"maps"
+
 	"incxml/internal/ctype"
 	"incxml/internal/dtd"
 	"incxml/internal/itree"
@@ -18,8 +20,13 @@ import (
 // The expansion generalizes the paper's case analysis to atoms carrying
 // several ⋆-specializations of one label (as produced by Lemma 3.2).
 func WithTreeType(t *itree.T, rho *dtd.Type) *itree.T {
-	out := t.Clone()
-	out.MayBeEmpty = false // rep(ρ) contains only nonempty documents
+	// Every disjunction is rebuilt below, so only the flat parts of t are
+	// copied.
+	out := itree.New()
+	maps.Copy(out.Nodes, t.Nodes)
+	maps.Copy(out.Type.Cond, t.Type.Cond)
+	maps.Copy(out.Type.Sigma, t.Type.Sigma)
+	// rep(ρ) contains only nonempty documents, so MayBeEmpty stays false.
 	ty := out.Type
 
 	baseLabel := func(s ctype.Symbol) tree.Label {
@@ -32,17 +39,17 @@ func WithTreeType(t *itree.T, rho *dtd.Type) *itree.T {
 
 	// Restrict roots to specializations of ρ's root labels.
 	var roots []ctype.Symbol
-	for _, r := range ty.Roots {
+	for _, r := range t.Type.Roots {
 		if rho.IsRoot(baseLabel(r)) {
 			roots = append(roots, r)
 		}
 	}
 	ty.Roots = roots
 
-	for s := range ty.Mu {
+	for s, disj := range t.Type.Mu {
 		atom := rho.AtomFor(baseLabel(s))
 		var rewritten ctype.Disj
-		for _, alpha := range ty.Mu[s] {
+		for _, alpha := range disj {
 			rewritten = append(rewritten, conformAtom(alpha, atom, baseLabel)...)
 		}
 		ty.Mu[s] = rewritten
@@ -53,10 +60,15 @@ func WithTreeType(t *itree.T, rho *dtd.Type) *itree.T {
 // conformAtom rewrites one disjunct α to conform to the dtd atom, returning
 // zero or more replacement disjuncts.
 func conformAtom(alpha ctype.SAtom, atom dtd.Atom, baseLabel func(ctype.Symbol) tree.Label) []ctype.SAtom {
-	// Group item indices by base label.
+	// Group item indices by base label, labels in order of first
+	// appearance in α so the output order is a function of the input.
 	groups := map[tree.Label][]int{}
+	var labels []tree.Label
 	for i, item := range alpha {
 		l := baseLabel(item.Sym)
+		if _, ok := groups[l]; !ok {
+			labels = append(labels, l)
+		}
 		groups[l] = append(groups[l], i)
 	}
 	// First elimination rule of the Theorem 3.5 proof: a label the type
@@ -68,126 +80,27 @@ func conformAtom(alpha ctype.SAtom, atom dtd.Atom, baseLabel func(ctype.Symbol) 
 			}
 		}
 	}
-	// For each label, compute the admissible per-item multiplicity variants.
-	// A variant is a map from item index to its new multiplicity, with -1
-	// meaning "drop the item".
-	type variant map[int]dtd.Mult
-	variantsFor := func(l tree.Label, idxs []int) []variant {
-		LO, HI := 0, 0
-		if it, ok := atom.Find(l); ok {
-			LO, HI = it.Mult.Bounds()
-		}
-		// Sum of guaranteed occurrences.
-		sumLo := 0
-		for _, i := range idxs {
-			lo, _ := alpha[i].Mult.Bounds()
-			sumLo += lo
-		}
-		if HI >= 0 && sumLo > HI {
-			return nil // more guaranteed children than the type allows
-		}
-		switch {
-		case HI < 0 && LO == 0:
-			// b⋆: unconstrained.
-			v := variant{}
-			for _, i := range idxs {
-				v[i] = alpha[i].Mult
-			}
-			return []variant{v}
-		case HI < 0 && LO == 1:
-			// b+: at least one child overall.
-			if sumLo >= 1 {
-				v := variant{}
-				for _, i := range idxs {
-					v[i] = alpha[i].Mult
-				}
-				return []variant{v}
-			}
-			// Promote one optional item to mandatory, per variant.
-			var out []variant
-			for _, pick := range idxs {
-				v := variant{}
-				for _, i := range idxs {
-					m := alpha[i].Mult
-					if i == pick {
-						switch m {
-						case dtd.Star:
-							m = dtd.Plus
-						case dtd.Opt:
-							m = dtd.One
-						}
-					}
-					v[i] = m
-				}
-				out = append(out, v)
-			}
-			return out
-		case HI == 0:
-			// Label absent from the type: all items must be droppable.
-			for _, i := range idxs {
-				if lo, _ := alpha[i].Mult.Bounds(); lo > 0 {
-					return nil
-				}
-			}
-			v := variant{}
-			for _, i := range idxs {
-				v[i] = dtd.Mult(0) // dropped (marker; see below)
-			}
-			return []variant{v}
-		default:
-			// HI == 1 (b1 or b?): at most one child overall.
-			var out []variant
-			if LO == 0 && sumLo == 0 {
-				// Zero children: drop everything.
-				v := variant{}
-				for _, i := range idxs {
-					v[i] = dtd.Mult(0)
-				}
-				out = append(out, v)
-			}
-			// Exactly one child, hosted by item `pick`; all others dropped.
-			for _, pick := range idxs {
-				ok := true
-				v := variant{}
-				for _, i := range idxs {
-					if i == pick {
-						if _, hi := alpha[i].Mult.Bounds(); hi == 0 {
-							ok = false
-							break
-						}
-						v[i] = dtd.One
-						continue
-					}
-					if lo, _ := alpha[i].Mult.Bounds(); lo > 0 {
-						ok = false
-						break
-					}
-					v[i] = dtd.Mult(0)
-				}
-				if ok {
-					out = append(out, v)
-				}
-			}
-			return out
-		}
-	}
-
-	// Cartesian product of variants across labels.
-	results := []variant{{}}
-	for l, idxs := range groups {
-		vs := variantsFor(l, idxs)
+	// A variant assigns every item of α its new multiplicity, with drop
+	// (the zero Mult) meaning "remove the item". The variants of α are the
+	// Cartesian product of the admissible per-label variants, which only
+	// set the entries of their own label's items.
+	const drop = dtd.Mult(0)
+	results := [][]dtd.Mult{make([]dtd.Mult, len(alpha))}
+	for _, l := range labels {
+		idxs := groups[l]
+		vs := labelVariants(alpha, idxs, atom, l)
 		if len(vs) == 0 {
 			return nil
 		}
-		var next []variant
+		next := make([][]dtd.Mult, 0, len(results)*len(vs))
 		for _, base := range results {
-			for _, v := range vs {
-				merged := variant{}
-				for k, m := range base {
-					merged[k] = m
+			for k, v := range vs {
+				merged := base
+				if k < len(vs)-1 {
+					merged = append([]dtd.Mult(nil), base...)
 				}
-				for k, m := range v {
-					merged[k] = m
+				for j, i := range idxs {
+					merged[i] = v[j]
 				}
 				next = append(next, merged)
 			}
@@ -195,23 +108,96 @@ func conformAtom(alpha ctype.SAtom, atom dtd.Atom, baseLabel func(ctype.Symbol) 
 		results = next
 	}
 
-	var out []ctype.SAtom
+	out := make([]ctype.SAtom, 0, len(results))
 	for _, v := range results {
-		var na ctype.SAtom
+		na := make(ctype.SAtom, 0, len(alpha))
 		for i, item := range alpha {
-			m, ok := v[i]
-			if !ok || m == dtd.Mult(0) {
-				if !ok {
-					// Item of a label group untouched by any variant cannot
-					// happen (every index is in exactly one group), but keep
-					// the item unchanged defensively.
-					na = append(na, item)
-				}
-				continue
+			if v[i] != drop {
+				na = append(na, ctype.SItem{Sym: item.Sym, Mult: v[i]})
 			}
-			na = append(na, ctype.SItem{Sym: item.Sym, Mult: m})
 		}
 		out = append(out, na)
 	}
 	return out
+}
+
+// labelVariants returns the admissible multiplicity assignments for the
+// items idxs of α that share base label l, each as one multiplicity per
+// item in idxs order (the zero Mult drops the item).
+func labelVariants(alpha ctype.SAtom, idxs []int, atom dtd.Atom, l tree.Label) [][]dtd.Mult {
+	LO, HI := 0, 0
+	if it, ok := atom.Find(l); ok {
+		LO, HI = it.Mult.Bounds()
+	}
+	// Sum of guaranteed occurrences.
+	sumLo := 0
+	for _, i := range idxs {
+		lo, _ := alpha[i].Mult.Bounds()
+		sumLo += lo
+	}
+	if HI >= 0 && sumLo > HI {
+		return nil // more guaranteed children than the type allows
+	}
+	unchanged := func() []dtd.Mult {
+		v := make([]dtd.Mult, len(idxs))
+		for j, i := range idxs {
+			v[j] = alpha[i].Mult
+		}
+		return v
+	}
+	switch {
+	case HI < 0 && LO == 0:
+		// b⋆: unconstrained.
+		return [][]dtd.Mult{unchanged()}
+	case HI < 0 && LO == 1:
+		// b+: at least one child overall.
+		if sumLo >= 1 {
+			return [][]dtd.Mult{unchanged()}
+		}
+		// Promote one optional item to mandatory, per variant.
+		out := make([][]dtd.Mult, 0, len(idxs))
+		for pick := range idxs {
+			v := unchanged()
+			switch v[pick] {
+			case dtd.Star:
+				v[pick] = dtd.Plus
+			case dtd.Opt:
+				v[pick] = dtd.One
+			}
+			out = append(out, v)
+		}
+		return out
+	case HI == 0:
+		// Label absent from the type: all items must be droppable.
+		if sumLo > 0 {
+			return nil
+		}
+		return [][]dtd.Mult{make([]dtd.Mult, len(idxs))}
+	default:
+		// HI == 1 (b1 or b?): at most one child overall.
+		var out [][]dtd.Mult
+		if LO == 0 && sumLo == 0 {
+			// Zero children: drop everything.
+			out = append(out, make([]dtd.Mult, len(idxs)))
+		}
+		// Exactly one child, hosted by item `pick`; all others dropped.
+		for pick, i := range idxs {
+			if _, hi := alpha[i].Mult.Bounds(); hi == 0 {
+				continue
+			}
+			ok := true
+			for j, other := range idxs {
+				if lo, _ := alpha[other].Mult.Bounds(); j != pick && lo > 0 {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				v := make([]dtd.Mult, len(idxs)) // all dropped
+				v[pick] = dtd.One
+				out = append(out, v)
+			}
+		}
+		return out
+	}
 }

@@ -116,10 +116,10 @@ func TestChaosSoak(t *testing.T) {
 		return string(b)
 	}
 	redWant := map[string]string{
-		redBody(ReductionRequest{Kind: "3sat", NumVars: 2, Clauses: [][]int{{1, 2}, {-1}}}):          "yes",
-		redBody(ReductionRequest{Kind: "3sat", NumVars: 1, Clauses: [][]int{{1}, {-1}}}):             "no",
+		redBody(ReductionRequest{Kind: "3sat", NumVars: 2, Clauses: [][]int{{1, 2}, {-1}}}):           "yes",
+		redBody(ReductionRequest{Kind: "3sat", NumVars: 1, Clauses: [][]int{{1}, {-1}}}):              "no",
 		redBody(ReductionRequest{Kind: "dnf", NumVars: 1, Clauses: [][]int{{1, 1, 1}, {-1, -1, -1}}}): "yes",
-		redBody(ReductionRequest{Kind: "dnf", NumVars: 2, Clauses: [][]int{{1, 2, 1}}}):              "no",
+		redBody(ReductionRequest{Kind: "dnf", NumVars: 2, Clauses: [][]int{{1, 2, 1}}}):               "no",
 	}
 	redBodies := make([]string, 0, len(redWant))
 	for body := range redWant {

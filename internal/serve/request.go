@@ -131,9 +131,9 @@ func writeError(w http.ResponseWriter, version, status int, msg string, retryAft
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorEnvelope{
-		V:      EnvelopeVersion,
-		Status: status,
-		Error:  msg,
+		V:                 EnvelopeVersion,
+		Status:            status,
+		Error:             msg,
 		RetryAfterSeconds: retryAfter,
 	})
 }

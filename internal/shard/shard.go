@@ -586,7 +586,8 @@ func (c *Cluster) scatter(ctx context.Context, q query.Query, local, parallel bo
 	// re-verifies the intersected sub-query against each source's knowledge
 	// snapshot under its own bounded budget (the configured per-request
 	// steps, or a generous fallback), so a dead deadline or a stingy budget
-	// shrinks the certificate instead of overclaiming.
+	// shrinks the certificate instead of overclaiming. The snapshots are the
+	// sources' shared reachable trees, read here without recomputation.
 	perSource := make(map[string]*certify.Certificate, len(s.Answers))
 	knows := make(map[string]*itree.T, len(s.Answers))
 	for _, sa := range s.Answers {

@@ -442,8 +442,11 @@ func (wh *Webhouse) Explore(ctx context.Context, source string, q query.Query) (
 	return a, nil
 }
 
-// Knowledge returns the reachable incomplete tree for the source. The
-// returned tree is a snapshot: later Explore calls do not mutate it.
+// Knowledge returns the reachable incomplete tree for the source. The tree
+// is computed once per change of the knowledge and shared with every other
+// reader — local answers, completions, scatter certificate merges — so it
+// is read-only: callers must not modify it. It is also a snapshot: later
+// acquisitions install a new tree instead of mutating this one.
 func (wh *Webhouse) Knowledge(source string) (*itree.T, error) {
 	r, err := wh.Repo(source)
 	if err != nil {
@@ -566,6 +569,7 @@ func (r *Repository) storeLocal(gen uint64, key intern.ID, la *LocalAnswer) {
 }
 
 // snapshot reads the repository's generation and knowledge consistently.
+// The knowledge is the refiner's shared reachable tree (see Knowledge).
 func (r *Repository) snapshot() (uint64, *itree.T) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

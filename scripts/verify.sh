@@ -8,6 +8,8 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# Format gate: every tracked Go file must be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 # Godoc gate: the public facade and the operator-facing packages must
 # document every exported symbol (see scripts/doclint).
 go run ./scripts/doclint incxml.go ./internal/obs ./internal/budget ./internal/serve ./internal/certify ./internal/store ./internal/workload ./internal/extquery ./internal/reductions
