@@ -7,9 +7,7 @@
 package incxml
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"incxml/internal/answer"
@@ -18,7 +16,6 @@ import (
 	"incxml/internal/conj"
 	"incxml/internal/ctype"
 	"incxml/internal/dtd"
-	"incxml/internal/engine"
 	"incxml/internal/extquery"
 	"incxml/internal/itree"
 	"incxml/internal/mediator"
@@ -502,27 +499,34 @@ func BenchmarkE17Lossy(b *testing.B) {
 
 // BenchmarkAblationCompact measures the effect of per-step compaction on
 // the Refine chain (the implementation choice that realizes Lemma 3.12's
-// bound): identical rep, very different sizes and costs.
+// bound): identical rep, very different sizes and costs. compact=on is the
+// Refiner, which compacts after every observation; compact=off folds the
+// same queries with the free Refine function.
 func BenchmarkAblationCompact(b *testing.B) {
 	world := workload.BlowupWorld()
-	for _, compact := range []bool{true, false} {
-		name := "compact=on"
-		if !compact {
-			name = "compact=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := refine.NewRefiner(workload.BlowupSigma, nil)
-				r.CompactEach = compact
-				for _, q := range workload.BlowupWorkload(5) {
-					if _, err := r.ObserveOn(world, q); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("compact=on", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r := refine.NewRefiner(workload.BlowupSigma, nil)
+			for _, q := range workload.BlowupWorkload(5) {
+				if _, err := r.ObserveOn(world, q); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(r.Tree().Size()), "repsize")
 			}
-		})
-	}
+			b.ReportMetric(float64(r.Tree().Size()), "repsize")
+		}
+	})
+	b.Run("compact=off", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			t := refine.Universal(workload.BlowupSigma)
+			for _, q := range workload.BlowupWorkload(5) {
+				var err error
+				if t, err = refine.Refine(t, q, q.Eval(world), workload.BlowupSigma); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(t.Size()), "repsize")
+		}
+	})
 }
 
 // BenchmarkAblationConjEmptiness compares the two emptiness procedures for
@@ -580,14 +584,14 @@ func BenchmarkAblationConditionNormalForm(b *testing.B) {
 	})
 }
 
-// --- E18: parallel evaluation engine — sequential vs pooled solvers -------
+// --- E18: reference certificate scan vs the pruned search -----------------
 
 // hardEmptyConj builds a conjunctive incomplete tree with 2^k certificates,
 // none satisfiable: the root's CNF has one conjunct forcing a child typed c
 // (value 3) plus k conjuncts each choosing between a (value 1) and b
 // (value 2), all over the same child label, so every certificate's k-way
 // join carries a contradictory condition. The reference EmptySequential
-// scans all 2^k certificates; the pruned search (Empty/EmptyPool) memoizes
+// scans all 2^k certificates; the pruned search (Empty) memoizes
 // joins and productivity across digit assignments.
 func hardEmptyConj(k int) *conj.T {
 	t := conj.New()
@@ -610,17 +614,12 @@ func hardEmptyConj(k int) *conj.T {
 	return t
 }
 
-// BenchmarkE18ParallelSpeedup compares the sequential solvers against the
-// engine-backed ones at 1, 2 and NumCPU workers. Since the E21 raw-speed
-// pass, emptiness/workers=N measures the pruned certificate search (the
-// pool no longer fans certificates out — pruning beats parallelism by
-// orders of magnitude, see EXPERIMENTS.md E21), so the emptiness series
-// contrasts the reference 2^k scan with the pruned search at identical
-// verdicts. The enumeration series still exercises the pool fan-out.
+// BenchmarkE18ParallelSpeedup compares the reference 2^k certificate scan
+// (EmptySequential) with the pruned search (Empty) at identical verdicts.
+// The series once contrasted worker counts; since the E21 raw-speed pass the
+// search runs on one goroutine, because pruning beats a certificate fan-out
+// by orders of magnitude (EXPERIMENTS.md E21).
 func BenchmarkE18ParallelSpeedup(b *testing.B) {
-	ctx := context.Background()
-	workers := []int{1, 2, runtime.NumCPU()}
-
 	hard := hardEmptyConj(12)
 	b.Run("emptiness/sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -629,45 +628,11 @@ func BenchmarkE18ParallelSpeedup(b *testing.B) {
 			}
 		}
 	})
-	for _, w := range workers {
-		p := engine.NewPool(w)
-		b.Run(fmt.Sprintf("emptiness/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if !hard.EmptyPool(ctx, p) {
-					b.Fatal("hard instance not empty")
-				}
-			}
-		})
-	}
-
-	world := workload.BlowupWorld()
-	c := conj.FromITree(refine.Universal(workload.BlowupSigma))
-	for _, q := range workload.BlowupWorkload(3) {
-		if err := c.RefinePlus(q, q.Eval(world), workload.BlowupSigma); err != nil {
-			b.Fatal(err)
-		}
-	}
-	it, err := c.ToITree()
-	if err != nil {
-		b.Fatal(err)
-	}
-	bounds := itree.Bounds{
-		Values:    []rat.Rat{rat.FromInt(0), rat.FromInt(1)},
-		MaxRepeat: 1,
-		MaxDepth:  4,
-		MaxTrees:  50000,
-	}
-	b.Run("enumerate/sequential", func(b *testing.B) {
+	b.Run("emptiness/pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			it.Enumerate(bounds)
+			if !hard.Empty() {
+				b.Fatal("hard instance not empty")
+			}
 		}
 	})
-	for _, w := range workers {
-		p := engine.NewPool(w)
-		b.Run(fmt.Sprintf("enumerate/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				it.EnumerateParallel(ctx, p, bounds)
-			}
-		})
-	}
 }

@@ -78,7 +78,6 @@ import (
 	"incxml/internal/conj"
 	"incxml/internal/ctype"
 	"incxml/internal/dtd"
-	"incxml/internal/engine"
 	"incxml/internal/faulty"
 	"incxml/internal/obs"
 	"incxml/internal/refine"
@@ -280,7 +279,6 @@ func main() {
 func benchEmptiness(maxN int, steps int64) []emptinessRow {
 	world := workload.BlowupWorld()
 	t := conj.FromITree(refine.Universal(workload.BlowupSigma))
-	pool := engine.Default()
 	rows := make([]emptinessRow, 0, maxN)
 	for n := 1; n <= maxN; n++ {
 		q := workload.BlowupQuery(int64(n))
@@ -289,15 +287,13 @@ func benchEmptiness(maxN int, steps int64) []emptinessRow {
 			os.Exit(1)
 		}
 
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		start := time.Now()
-		empty := t.EmptyPool(ctx, pool)
+		empty := t.Empty()
 		exactMs := msSince(start)
-		cancel()
 
 		bud := budget.New(context.Background(), steps)
 		start = time.Now()
-		verdict, _ := t.EmptyBudgeted(context.Background(), pool, bud)
+		verdict, _ := t.EmptyBudgeted(context.Background(), nil, bud)
 		budgetedMs := msSince(start)
 
 		rows = append(rows, emptinessRow{
@@ -566,7 +562,9 @@ func e22Reset(ctx context.Context, c *shard.Cluster, source string) error {
 
 // benchE22 is the EXPERIMENTS.md E22 scan: cluster-wide Query-4 completion
 // latency, parallel scatter vs the sequential baseline, at 1/2/4 shards,
-// plus the one-shard-down pass at 4 shards.
+// plus the one-shard-down pass at 4 shards. The sequential baseline is a
+// one-shard cluster over the same sources: one scatter worker visits every
+// source in turn.
 func benchE22(sources, rounds int, latency time.Duration) e22Report {
 	ctx := context.Background()
 	q4 := workload.Query4()
@@ -576,7 +574,7 @@ func benchE22(sources, rounds int, latency time.Duration) e22Report {
 		Rounds:    rounds,
 	}
 
-	timed := func(c *shard.Cluster, parallel bool) ([]time.Duration, error) {
+	timed := func(c *shard.Cluster) ([]time.Duration, error) {
 		durs := make([]time.Duration, 0, rounds)
 		for r := 0; r < rounds; r++ {
 			for _, name := range c.Sources() {
@@ -585,13 +583,7 @@ func benchE22(sources, rounds int, latency time.Duration) e22Report {
 				}
 			}
 			start := time.Now()
-			var err error
-			if parallel {
-				_, err = c.ScatterComplete(ctx, q4)
-			} else {
-				_, err = c.ScatterCompleteSeq(ctx, q4)
-			}
-			if err != nil {
+			if _, err := c.ScatterComplete(ctx, q4); err != nil {
 				return nil, err
 			}
 			durs = append(durs, time.Since(start))
@@ -603,12 +595,16 @@ func benchE22(sources, rounds int, latency time.Duration) e22Report {
 	for _, n := range []int{1, 2, 4} {
 		row := e22Row{Shards: n}
 		for _, parallel := range []bool{true, false} {
-			c, err := newE22Cluster(n, sources, latency)
+			shards := n
+			if !parallel {
+				shards = 1
+			}
+			c, err := newE22Cluster(shards, sources, latency)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "e22:", err)
 				os.Exit(1)
 			}
-			durs, err := timed(c, parallel)
+			durs, err := timed(c)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "e22:", err)
 				os.Exit(1)

@@ -192,7 +192,10 @@ func serveUntil(ctx context.Context, args []string, out io.Writer) error {
 			fmt.Fprintf(out, "webhouse: QUARANTINED sources (serving degraded from pristine knowledge; files set aside): %v\n", rec.Quarantined)
 		}
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	// Headers must arrive within the per-request deadline: a client
+	// trickling them never reaches the handler chain, where the body read
+	// and admission are bounded by the same deadline.
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: *timeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
@@ -186,5 +187,33 @@ func TestServeCommandExploreAfterRestart(t *testing.T) {
 
 	if got != want {
 		t.Fatalf("explore-after-restart answer diverged from never-restarted session:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestServeCommandCutsTrickledHeaders: the real command bounds header reads
+// by its -timeout, so a client that never finishes its headers is
+// disconnected instead of holding a connection open indefinitely.
+func TestServeCommandCutsTrickledHeaders(t *testing.T) {
+	base, _, stop := startServe(t, []string{"-timeout", "200ms"})
+	defer func() {
+		if err := stop(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /local HTTP/1.1\r\nHost: trickle\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server still holds a header-trickling connection after %v", time.Since(start))
 	}
 }

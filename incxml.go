@@ -264,12 +264,10 @@ var (
 	ErrSourceTransient = faulty.ErrTransient
 )
 
-// The parallel evaluation engine. The NP-hard solvers (conjunctive
-// emptiness, bounded enumeration) accept a worker pool; throughput scales
-// with GOMAXPROCS through DefaultEnginePool.
+// Serving-layer observability. The solvers run sequentially; the
+// webhouse's fan-outs (answer facets, mediator local queries) share one
+// worker pool sized by GOMAXPROCS, whose counters EngineStats reports.
 type (
-	// EnginePool is a bounded worker pool with early cancellation.
-	EnginePool = engine.Pool
 	// EngineStats reports pool utilization counters.
 	EngineStats = engine.Stats
 	// CacheStats reports hit/miss/eviction counters of a shared cache.
@@ -285,11 +283,6 @@ type (
 )
 
 var (
-	// NewEnginePool builds a pool with the given worker count (<=0 means
-	// GOMAXPROCS).
-	NewEnginePool = engine.NewPool
-	// DefaultEnginePool is the process-wide pool sized by GOMAXPROCS.
-	DefaultEnginePool = engine.Default
 	// MembershipCacheStats reports the shared membership/prefix cache.
 	MembershipCacheStats = itree.CacheStats
 	// DecisionCacheStats reports the query-decision cache.

@@ -30,14 +30,17 @@ func triDecision(it *itree.T, q query.Query, kind uint8,
 	return budget.Of(v), nil
 }
 
-// FullyAnswerableBudgeted is FullyAnswerable under a budget.
+// FullyAnswerableBudgeted is the Corollary 3.15 full-answerability decider
+// (see FullyAnswerable) under a budget; a nil budget decides exactly.
 func FullyAnswerableBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
 	return triDecision(it, q, kindFully, func() (bool, error) {
 		return fullyAnswerable(it, q, bud)
 	})
 }
 
-// PossiblyNonEmptyBudgeted is PossiblyNonEmpty under a budget.
+// PossiblyNonEmptyBudgeted is the Corollary 3.18 possible non-emptiness
+// decider (see PossiblyNonEmpty) under a budget; a nil budget decides
+// exactly.
 func PossiblyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
 	return triDecision(it, q, kindPossiblyNonEmpty, func() (bool, error) {
 		ans, err := ApplyBudgeted(it, q, bud)
@@ -48,7 +51,9 @@ func PossiblyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget
 	})
 }
 
-// CertainlyNonEmptyBudgeted is CertainlyNonEmpty under a budget.
+// CertainlyNonEmptyBudgeted is the Corollary 3.18 certain non-emptiness
+// decider (see CertainlyNonEmpty) under a budget; a nil budget decides
+// exactly.
 func CertainlyNonEmptyBudgeted(it *itree.T, q query.Query, bud *budget.B) (budget.Tri, error) {
 	return triDecision(it, q, kindCertainlyNonEmpty, func() (bool, error) {
 		ans, err := ApplyBudgeted(it, q, bud)

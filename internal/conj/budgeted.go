@@ -23,9 +23,14 @@ import (
 // The budget is charged one step per digit assignment, interned symbol set,
 // join tuple, and productivity evaluation — memo hits are free, which is
 // what moves the budgeted-unknown crossover on the blowup family (E21). A
-// nil budget makes the search exact and equivalent to Empty / EmptyPool.
-// The pool parameter is kept for API compatibility; the search no longer
-// fans certificates out (see EmptyPool).
+// nil budget makes the search exact and equivalent to Empty.
+//
+// The pool p is ignored: the pruned search runs on the calling goroutine,
+// because memo reuse across branches beats re-deriving them on a
+// certificate fan-out (EXPERIMENTS.md E21). The parameter stays only
+// because the perfbench module's kernels workload calls this three-argument
+// form, and that benchmark must build unchanged against every revision it
+// compares.
 func (t *T) EmptyBudgeted(ctx context.Context, p *engine.Pool, b *budget.B) (budget.Tri, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -34,9 +39,9 @@ func (t *T) EmptyBudgeted(ctx context.Context, p *engine.Pool, b *budget.B) (bud
 	return recordEmptyTri(v, err)
 }
 
-// emptySequentialBudgeted is the budgeted mixed-radix scan, used for
-// certificate spaces too small (or too large to index linearly) for the
-// pool.
+// emptySequentialBudgeted is the budgeted mixed-radix certificate scan:
+// EmptySequential runs it unbudgeted, and the pruned search falls back to it
+// when a join poisons the witness confirmation.
 func (t *T) emptySequentialBudgeted(ctx context.Context, syms []ctype.Symbol, counts []int, b *budget.B) (budget.Tri, error) {
 	idx := make([]int, len(counts))
 	for {

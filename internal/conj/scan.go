@@ -12,8 +12,8 @@ import (
 	"incxml/internal/tree"
 )
 
-// This file implements the pruned certificate search that Empty, EmptyPool
-// and EmptyBudgeted run. The naive NP procedure of Theorem 3.10 enumerates
+// This file implements the pruned certificate search that Empty and
+// EmptyBudgeted run. The naive NP procedure of Theorem 3.10 enumerates
 // every certificate π (one disjunct per conjunct per symbol, exponentially
 // many), builds T_π, and tests its emptiness; the observation behind this
 // solver is that T_π's emptiness depends on π only through the symbol sets
@@ -127,7 +127,7 @@ type scanProg struct {
 }
 
 func newScanProg(t *T, ctx context.Context, b *budget.B) *scanProg {
-	syms, counts, _, _ := t.certificateSpace()
+	syms, counts := t.certificateSpace()
 	p := &scanProg{
 		t:        t,
 		ctx:      ctx,
@@ -746,7 +746,7 @@ func (p *scanProg) witnessIdx() []int {
 }
 
 // emptyScan runs the pruned search and converts its outcome into the
-// three-valued verdict contract shared by Empty, EmptyPool and EmptyBudgeted.
+// three-valued verdict contract shared by Empty and EmptyBudgeted.
 func (t *T) emptyScan(ctx context.Context, b *budget.B) (budget.Tri, error) {
 	if t.MayBeEmpty {
 		return budget.No, nil

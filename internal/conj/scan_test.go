@@ -12,7 +12,7 @@ import (
 
 // TestEmptyScanDifferentialCorpus pins the pruned certificate search to the
 // reference mixed-radix scan over a corpus an order of magnitude larger than
-// TestEmptyPoolMatchesSequential's: every seed drives both Empty (the pruned
+// TestEmptyBudgetedMatchesSequential's: every seed drives both Empty (the pruned
 // search) and EmptyBudgeted with an effectively unlimited budget, and each
 // verdict must be byte-identical to EmptySequential's. The corpus includes
 // instances whose joins hit the bounds-merge error (the poisoning corner that

@@ -1,16 +1,16 @@
-// Package engine is the shared parallel-evaluation substrate of the
-// solver: a bounded worker pool with context-based early cancellation, and
-// a bounded concurrency-safe memo cache (cache.go).
+// Package engine holds two shared pieces of serving machinery: a bounded
+// worker pool for barrier fan-outs (Pool.Each), and a bounded
+// concurrency-safe memo cache (cache.go).
 //
-// The paper's decision procedures are exponential fan-outs over independent
-// subproblems — certificate choices in the Theorem 3.10 NP emptiness test,
-// atom multichoice combinations in the bounded enumeration oracle, typing
-// subproblems in Definition 2.7 membership. None of the asymptotics change
-// here; the engine exploits the independence: branches are scattered across
-// workers, a first satisfying witness cancels its siblings, and repeated
-// subderivations are answered from the cache. The pool is deliberately
+// The pool runs independent tasks that are each worth a goroutine: the
+// facet deciders of a local answer (Corollaries 3.15/3.18), the local
+// queries of a Theorem 3.19 completion, and the cross-shard scatter of the
+// sharded front door. The decision procedures themselves run sequentially:
+// the Theorem 3.10 emptiness test is a pruned memoized search
+// (conj/scan.go) whose cost is far below a certificate fan-out, and the
+// memo cache answers repeated subderivations. The pool is deliberately
 // simple (atomic work-stealing counter, one goroutine per worker, no
-// queues) so that its overhead stays far below the cost of one branch.
+// queues) so that its overhead stays far below one task.
 package engine
 
 import (
@@ -28,14 +28,12 @@ type Pool struct {
 	workers int
 
 	// Utilization counters (atomic).
-	tasks         atomic.Uint64 // branches evaluated
-	launches      atomic.Uint64 // worker goroutines spawned
-	searches      atomic.Uint64 // Search/SearchRange calls
-	shortCircuits atomic.Uint64 // searches ended early by a witness
+	tasks    atomic.Uint64 // tasks evaluated
+	launches atomic.Uint64 // worker goroutines spawned
 }
 
 // NewPool returns a pool with the given number of workers; workers <= 0
-// selects runtime.GOMAXPROCS(0), so solver throughput follows GOMAXPROCS.
+// selects runtime.GOMAXPROCS(0).
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -45,9 +43,8 @@ func NewPool(workers int) *Pool {
 
 var defaultPool = NewPool(0)
 
-// Default returns the process-wide pool sized to GOMAXPROCS. The hot paths
-// (conjunctive emptiness, enumeration, the webhouse) use it unless handed
-// an explicit pool.
+// Default returns the process-wide pool sized to GOMAXPROCS. The webhouse's
+// facet and mediator fan-outs run on it; a shard cluster sizes its own.
 func Default() *Pool { return defaultPool }
 
 // Workers returns the pool's worker bound.
@@ -55,108 +52,18 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Stats is a snapshot of the pool's utilization counters.
 type Stats struct {
-	Workers       int
-	Tasks         uint64 // branches evaluated
-	Launches      uint64 // worker goroutines spawned
-	Searches      uint64 // Search/SearchRange calls served
-	ShortCircuits uint64 // searches cancelled early by a witness
+	Workers  int
+	Tasks    uint64 // tasks evaluated
+	Launches uint64 // worker goroutines spawned
 }
 
 // Stats returns a snapshot of the utilization counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Workers:       p.workers,
-		Tasks:         p.tasks.Load(),
-		Launches:      p.launches.Load(),
-		Searches:      p.searches.Load(),
-		ShortCircuits: p.shortCircuits.Load(),
+		Workers:  p.workers,
+		Tasks:    p.tasks.Load(),
+		Launches: p.launches.Load(),
 	}
-}
-
-// Search evaluates f(ctx, i) for i in [0, n) across the pool and reports
-// whether some branch returned true. As soon as one does, the context
-// passed to the remaining branches is cancelled and unstarted branches are
-// skipped — the "first SAT witness cancels siblings" discipline. When the
-// caller's ctx is cancelled externally the search stops early and returns
-// false; callers that cancel must treat the result as indeterminate.
-func (p *Pool) Search(ctx context.Context, n int, f func(ctx context.Context, i int) bool) bool {
-	return p.SearchRange(ctx, int64(n), 1, func(ctx context.Context, lo, hi int64) bool {
-		for i := lo; i < hi; i++ {
-			if f(ctx, int(i)) {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// SearchRange is Search over the index space [0, total), handed to
-// branches in contiguous chunks of the given size (the last chunk may be
-// shorter). Chunking amortizes dispatch overhead when individual indices
-// are cheap; f must scan its [lo, hi) slice and report whether it found a
-// witness, checking ctx between indices if a chunk is long.
-func (p *Pool) SearchRange(ctx context.Context, total, chunk int64, f func(ctx context.Context, lo, hi int64) bool) bool {
-	if total <= 0 {
-		return false
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	p.searches.Add(1)
-	w := p.workers
-	if c := (total + chunk - 1) / chunk; int64(w) > c {
-		w = int(c)
-	}
-	if w <= 1 {
-		// Sequential fast path: no goroutines, same cancellation contract.
-		for lo := int64(0); lo < total; lo += chunk {
-			if ctx.Err() != nil {
-				return false
-			}
-			hi := lo + chunk
-			if hi > total {
-				hi = total
-			}
-			p.tasks.Add(1)
-			if f(ctx, lo, hi) {
-				p.shortCircuits.Add(1)
-				return true
-			}
-		}
-		return false
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var next atomic.Int64
-	var found atomic.Bool
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		p.launches.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := next.Add(chunk) - chunk
-				if lo >= total || found.Load() || sctx.Err() != nil {
-					return
-				}
-				hi := lo + chunk
-				if hi > total {
-					hi = total
-				}
-				p.tasks.Add(1)
-				if f(sctx, lo, hi) {
-					if found.CompareAndSwap(false, true) {
-						p.shortCircuits.Add(1)
-					}
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return found.Load()
 }
 
 // Each evaluates f(i) for every i in [0, n) across the pool and returns

@@ -12,7 +12,8 @@ import (
 // in it is a genuine member — and err is nil exactly when the enumeration
 // completed (the result then equals Enumerate's). On exhaustion err matches
 // budget.ErrExhausted and the partial results are still usable, e.g. as
-// counterexample candidates. A nil budget is equivalent to Enumerate.
+// counterexample candidates. A nil budget enumerates exactly; Enumerate is
+// that form.
 func (it *T) EnumerateBudgeted(b Bounds, bud *budget.B) ([]tree.Tree, error) {
 	e := newEnumerator(it, b)
 	e.bud = bud
@@ -46,9 +47,10 @@ func (it *T) EnumerateBudgeted(b Bounds, bud *budget.B) ([]tree.Tree, error) {
 	return result, recordEnum(bud.Err())
 }
 
-// RepSetBudgeted is RepSet over EnumerateBudgeted: the canonical-key set of
-// the members enumerated before exhaustion (a subset of the full bounded
-// rep-set), plus the exhaustion error if the budget ran out.
+// RepSetBudgeted is the canonical-key set (relative to rel, or to T's own
+// data nodes when rel is nil) of the members EnumerateBudgeted produced
+// before exhaustion — a subset of the full bounded rep-set — plus the
+// exhaustion error if the budget ran out. RepSet is the nil-budget form.
 func (it *T) RepSetBudgeted(b Bounds, rel map[tree.NodeID]bool, bud *budget.B) (map[string]bool, error) {
 	if rel == nil {
 		rel = map[tree.NodeID]bool{}

@@ -205,16 +205,12 @@ type Executor interface {
 // retries the executor performs) cancels the in-flight siblings' contexts
 // and is returned; the caller then degrades to a local approximation.
 func ExecuteAll(ctx context.Context, ex Executor, ls []LocalQuery) ([]tree.Tree, error) {
-	return ExecuteAllPool(ctx, engine.Default(), ex, ls)
+	return executeAll(ctx, engine.Default(), ex, ls)
 }
 
-// ExecuteAllPool is ExecuteAll fanned out over an explicit worker pool
-// (nil selects the default pool). The executor must be safe for concurrent
-// use — every SourceClient is.
-func ExecuteAllPool(ctx context.Context, p *engine.Pool, ex Executor, ls []LocalQuery) ([]tree.Tree, error) {
-	if p == nil {
-		p = engine.Default()
-	}
+// executeAll is ExecuteAll fanned out over the worker pool p. The executor
+// must be safe for concurrent use — every SourceClient is.
+func executeAll(ctx context.Context, p *engine.Pool, ex Executor, ls []LocalQuery) ([]tree.Tree, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -258,24 +254,6 @@ func ExecuteAllPool(ctx context.Context, p *engine.Pool, ex Executor, ls []Local
 		// Cancelled externally: Each may have skipped queries without any
 		// executor reporting it.
 		return nil, err
-	}
-	return answers, nil
-}
-
-// ExecuteAllSeq is the pre-scatter serial execution of a completion, kept
-// as the differential-testing baseline: ExecuteAll must produce
-// byte-identical answers in the same order.
-func ExecuteAllSeq(ctx context.Context, ex Executor, ls []LocalQuery) ([]tree.Tree, error) {
-	answers := make([]tree.Tree, len(ls))
-	for i, lq := range ls {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		a, err := ex.AskLocal(ctx, lq)
-		if err != nil {
-			return nil, fmt.Errorf("mediator: local query %d of %d (%s): %w", i+1, len(ls), lq, err)
-		}
-		answers[i] = a
 	}
 	return answers, nil
 }

@@ -59,7 +59,7 @@ func TestExecuteAllCancelsSiblingsOnFailure(t *testing.T) {
 	go func() {
 		// A dedicated 3-worker pool guarantees all three queries are in
 		// flight at once regardless of GOMAXPROCS.
-		_, err := ExecuteAllPool(context.Background(), engine.NewPool(len(ls)), ex, ls)
+		_, err := executeAll(context.Background(), engine.NewPool(len(ls)), ex, ls)
 		done <- err
 	}()
 	// Both siblings are blocked inside the executor; now let the first
@@ -123,6 +123,24 @@ func (e worldExec) AskLocal(ctx context.Context, lq LocalQuery) (tree.Tree, erro
 	return lq.Execute(e.world), nil
 }
 
+// executeAllSeq is the pre-scatter serial execution of a completion, the
+// differential baseline: ExecuteAll must produce byte-identical answers in
+// the same order.
+func executeAllSeq(ctx context.Context, ex Executor, ls []LocalQuery) ([]tree.Tree, error) {
+	answers := make([]tree.Tree, len(ls))
+	for i, lq := range ls {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		a, err := ex.AskLocal(ctx, lq)
+		if err != nil {
+			return nil, fmt.Errorf("mediator: local query %d of %d (%s): %w", i+1, len(ls), lq, err)
+		}
+		answers[i] = a
+	}
+	return answers, nil
+}
+
 // TestScatterGatherDifferentialSoak pins the concurrent scatter-gather
 // ExecuteAll byte-identical — answer order and merged prefix, compared via
 // CanonicalWithIDs — to the old sequential execution path over a
@@ -153,7 +171,7 @@ func TestScatterGatherDifferentialSoak(t *testing.T) {
 			continue
 		}
 		ex := worldExec{world: world}
-		seq, err := ExecuteAllSeq(context.Background(), ex, ls)
+		seq, err := executeAllSeq(context.Background(), ex, ls)
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v", seed, err)
 		}

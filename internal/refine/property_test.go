@@ -142,18 +142,27 @@ func TestQuickIntersectSound(t *testing.T) {
 	}
 }
 
+// uncompactedChain folds the first n blowup queries into the universal tree
+// with the free Refine function: the chain of Algorithm Refine steps with no
+// compaction in between.
+func uncompactedChain(t *testing.T, n int) *itree.T {
+	t.Helper()
+	world := workload.BlowupWorld()
+	cur := Universal(workload.BlowupSigma)
+	for _, q := range workload.BlowupWorkload(n) {
+		next, err := Refine(cur, q, q.Eval(world), workload.BlowupSigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = next
+	}
+	return cur
+}
+
 // TestCompactIdempotent: Compact(Compact(T)) has the same size and rep as
 // Compact(T).
 func TestCompactIdempotent(t *testing.T) {
-	world := workload.BlowupWorld()
-	r := NewRefiner(workload.BlowupSigma, nil)
-	r.CompactEach = false
-	for _, q := range workload.BlowupWorkload(3) {
-		if _, err := r.ObserveOn(world, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	once := Compact(r.Tree())
+	once := Compact(uncompactedChain(t, 3))
 	twice := Compact(once)
 	if twice.Size() != once.Size() {
 		t.Errorf("Compact not idempotent in size: %d -> %d", once.Size(), twice.Size())
@@ -163,25 +172,22 @@ func TestCompactIdempotent(t *testing.T) {
 	}
 }
 
-// TestCompactEachAblation: with and without per-step compaction the chain
-// represents the same set; compaction only changes the size.
-func TestCompactEachAblation(t *testing.T) {
+// TestCompactAblation: the Refiner chain (compacted after every step) and
+// the free Refine chain (never compacted) represent the same set; compaction
+// only changes the size.
+func TestCompactAblation(t *testing.T) {
 	world := workload.BlowupWorld()
 	with := NewRefiner(workload.BlowupSigma, nil)
-	without := NewRefiner(workload.BlowupSigma, nil)
-	without.CompactEach = false
 	for _, q := range workload.BlowupWorkload(3) {
 		if _, err := with.ObserveOn(world, q); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := without.ObserveOn(world, q); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if with.Tree().Size() > without.Tree().Size() {
-		t.Errorf("compaction grew the tree: %d vs %d", with.Tree().Size(), without.Tree().Size())
+	without := uncompactedChain(t, 3)
+	if with.Tree().Size() > without.Size() {
+		t.Errorf("compaction grew the tree: %d vs %d", with.Tree().Size(), without.Size())
 	}
-	if eq, diff := itree.EqualRepSets(with.Tree(), without.Tree(), itree.DefaultBounds()); !eq {
+	if eq, diff := itree.EqualRepSets(with.Tree(), without, itree.DefaultBounds()); !eq {
 		t.Errorf("compaction changed rep: %s", diff)
 	}
 }

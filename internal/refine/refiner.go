@@ -34,12 +34,9 @@ func Universal(sigma []tree.Label) *itree.T {
 // Refine performs one step of Algorithm Refine (Theorem 3.4): given the
 // current incomplete tree and a ps-query with its answer, it returns an
 // unambiguous incomplete tree representing rep(t) ∩ q⁻¹(A).
+// It is RefineBudgeted with no budget.
 func Refine(t *itree.T, q query.Query, a tree.Tree, sigma []tree.Label) (*itree.T, error) {
-	qa, err := FromQueryAnswer(q, a, sigma)
-	if err != nil {
-		return nil, err
-	}
-	return Intersect(t, qa)
+	return RefineBudgeted(t, q, a, sigma, nil)
 }
 
 // Refiner incrementally maintains an incomplete tree over a sequence of
@@ -48,11 +45,7 @@ type Refiner struct {
 	sigma  []tree.Label
 	source *dtd.Type
 	cur    *itree.T
-	// CompactEach controls whether Compact runs after every observation.
-	// Compaction never changes rep; it is what keeps linear-query chains
-	// polynomial (Lemma 3.12) at a small constant per-step cost.
-	CompactEach bool
-	steps       int
+	steps  int
 	// lossy records that some observation went through the lossy-shrinking
 	// fallback (ObserveBudgeted): cur is then a rep-superset of the true
 	// refinement.
@@ -72,10 +65,9 @@ type Refiner struct {
 // source's DTD is unknown.
 func NewRefiner(sigma []tree.Label, source *dtd.Type) *Refiner {
 	return &Refiner{
-		sigma:       append([]tree.Label(nil), sigma...),
-		source:      source,
-		cur:         Universal(sigma),
-		CompactEach: true,
+		sigma:  append([]tree.Label(nil), sigma...),
+		source: source,
+		cur:    Universal(sigma),
 	}
 }
 
@@ -89,35 +81,18 @@ var ErrInconsistent = errors.New("refine: observation inconsistent with accumula
 // Observe folds one ps-query/answer pair into the representation
 // (one step of Algorithm Refine). It returns ErrInconsistent (wrapped) when
 // the refined representation becomes empty; the previous state is kept so
-// the caller can decide how to recover.
+// the caller can decide how to recover. It is ObserveBudgeted with no
+// budget, which never takes the lossy fallback.
 func (r *Refiner) Observe(q query.Query, a tree.Tree) error {
-	next, err := Refine(r.cur, q, a, r.sigma)
-	if errors.Is(err, ErrIncompatible) {
-		// A known node came back with a different label or value: the same
-		// inconsistency signal as an empty intersection.
-		return fmt.Errorf("%w: %v", ErrInconsistent, err)
-	}
-	if err != nil {
-		return err
-	}
-	next, empty := r.compact(next)
-	if empty {
-		return fmt.Errorf("%w (after %d observations)", ErrInconsistent, r.steps+1)
-	}
-	withType, err := r.checkSourceType(next)
-	if err != nil {
-		return err
-	}
-	r.commit(next, withType)
-	return nil
+	_, err := r.ObserveBudgeted(q, a, nil, 0)
+	return err
 }
 
-// compact applies the per-step compaction when enabled and reports whether
-// the result represents no document at all.
+// compact applies the per-step compaction and reports whether the result
+// represents no document at all. Compaction never changes rep; it is what
+// keeps linear-query chains polynomial (Lemma 3.12) at a small constant
+// per-step cost.
 func (r *Refiner) compact(next *itree.T) (*itree.T, bool) {
-	if !r.CompactEach {
-		return next, next.Empty()
-	}
 	next = Compact(next)
 	return next, compactedEmpty(next)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -212,17 +211,12 @@ func (s *Server) requireV1(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// decodeStrictJSON reads a bounded body and decodes it as strict JSON
+// decodeStrictJSON decodes the buffered body (see readBody) as strict JSON
 // (unknown fields and trailing data are 400s).
 func decodeStrictJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, EnvelopeVersion, status, err.Error(), 0)
+		writeError(w, EnvelopeVersion, http.StatusBadRequest, err.Error(), 0)
 		return false
 	}
 	dec := json.NewDecoder(bytes.NewReader(bytes.TrimSpace(body)))

@@ -2,10 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"time"
 
 	"incxml/internal/query"
 )
@@ -56,7 +60,7 @@ func (s *Server) decodeAnswer(w http.ResponseWriter, r *http.Request, route stri
 		writeError(w, EnvelopeVersion, http.StatusBadRequest, err.Error(), 0)
 		return req, q, version, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeError(w, version, http.StatusBadRequest, err.Error(), 0)
 		return req, q, version, false
@@ -107,6 +111,51 @@ func (s *Server) decodeAnswer(w http.ResponseWriter, r *http.Request, route stri
 		return req, q, version, false
 	}
 	return req, q, version, true
+}
+
+// maxBody caps every request body.
+const maxBody = 1 << 20
+
+// readBody buffers r's body, capped at maxBody and bounded by ctx's
+// deadline, and replaces r.Body with the buffered copy, so handlers decode
+// from memory. conn is the server's own writer: the read deadline and the
+// cap's connection close are set through it. A writer that cannot set
+// deadlines (http.ErrNotSupported, e.g. a test recorder) leaves the read
+// bounded by the cap alone; on a dead connection the read below fails
+// anyway. On failure readBody writes the error to w (413 past the cap, 408
+// when the deadline cut the body short, 400 otherwise) and returns false.
+func readBody(ctx context.Context, conn, w http.ResponseWriter, r *http.Request) bool {
+	rc := http.NewResponseController(conn)
+	deadline, _ := ctx.Deadline()
+	_ = rc.SetReadDeadline(deadline)
+	body, err := io.ReadAll(http.MaxBytesReader(conn, r.Body, maxBody))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooLarge):
+			status = http.StatusRequestEntityTooLarge
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			status = http.StatusRequestTimeout
+		}
+		writeError(w, requestVersion(r), status, err.Error(), 0)
+		return false
+	}
+	// Lift the deadline again: the connection's idle read after the body
+	// must not fail while the handler still runs. An error here means the
+	// connection is gone, so there is nothing to lift.
+	_ = rc.SetReadDeadline(time.Time{})
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	return true
+}
+
+// requestVersion is the envelope version r asks for, or the current one
+// when it names none the server knows.
+func requestVersion(r *http.Request) int {
+	if v, err := apiVersion(r); err == nil {
+		return v
+	}
+	return EnvelopeVersion
 }
 
 // errorEnvelope is the JSON error shape shared by every v1 failure path:

@@ -471,6 +471,11 @@ func (s *Server) wrap(route string, h func(ctx context.Context, w http.ResponseW
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 		defer cancel()
 		ctx = obs.WithTrace(ctx, rec.trace)
+		// The body is buffered before admission: a client trickling it then
+		// runs out its own deadline without ever holding a slot.
+		if !readBody(ctx, w, rec, r) {
+			return
+		}
 		endQueue := rec.trace.Stage("queue")
 		// The release defer is armed BEFORE admission: once admit hands the
 		// slot over, any panic on this goroutine — in the trace stage, a

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -34,6 +37,51 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestTrickledBodyDoesNotWedgeAdmission: a client that declares a body and
+// then trickles it must not hold the only execution slot. The body is read
+// before admission under the request deadline, so the trickler times out
+// on its own and every well-formed request sent meanwhile is served.
+func TestTrickledBodyDoesNotWedgeAdmission(t *testing.T) {
+	s, err := New(Config{MaxInflight: 1, Queue: 1, Timeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// 3 of 1000 declared body bytes, then silence.
+	if _, err := fmt.Fprintf(conn, "POST /local HTTP/1.1\r\nHost: trickle\r\nContent-Length: 1000\r\n\r\ncat"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the trickler to reach the handler chain", func() bool { return s.inWrap.Load() == 1 })
+
+	for i := 0; i < 4; i++ {
+		resp, err := http.Post(srv.URL+"/local", "text/plain", strings.NewReader(catalogBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d behind a trickled body: %d, want 200 (%s)", i, resp.StatusCode, body)
+		}
+		time.Sleep(350 * time.Millisecond)
+	}
+	// The trickler itself got its answer: its body read hit the deadline.
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	status, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil || !strings.Contains(status, " 408 ") {
+		t.Fatalf("trickler's response: %q (%v), want 408", status, err)
+	}
 }
 
 // TestAdmissionShedding: with one execution slot and a one-deep queue, a

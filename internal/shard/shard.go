@@ -124,10 +124,6 @@ type Config struct {
 	// sequences stay reproducible but decorrelated across sources.
 	Injector faulty.InjectorConfig
 	Retry    faulty.RetryConfig
-	// Pool fans the scatter out across shards (engine.Default() if nil).
-	// Groups' webhouses share it, so one knob bounds the whole cluster's
-	// concurrency.
-	Pool *engine.Pool
 }
 
 // Group is one shard: a webhouse owning the sources the ring assigned
@@ -208,10 +204,9 @@ const mergeFallbackSteps = 1 << 20
 type Cluster struct {
 	cfg  Config
 	ring *Ring
-	pool *engine.Pool
 	// scatterPool drives the fan-out barrier with one worker per shard.
 	// The scatter is latency-bound — workers spend their time blocked on
-	// simulated source waits — so sizing it by GOMAXPROCS (as the solver
+	// simulated source waits — so sizing it by GOMAXPROCS (as the default
 	// pool is) would serialize the fan-out on small machines and forfeit
 	// exactly the overlap the scatter exists to provide.
 	scatterPool *engine.Pool
@@ -234,20 +229,14 @@ func New(cfg Config) *Cluster {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = engine.Default()
-	}
 	c := &Cluster{
 		cfg:         cfg,
 		ring:        NewRing(cfg.Shards, cfg.Replicas),
-		pool:        pool,
 		scatterPool: engine.NewPool(cfg.Shards),
 		owners:      map[string]*Group{},
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		wh := webhouse.New()
-		wh.SetPool(pool)
 		if cfg.Budget > 0 {
 			wh.SetBudget(cfg.Budget)
 		}
@@ -496,29 +485,22 @@ func (s *Scatter) ByName(source string) *SourceAnswer {
 }
 
 // ScatterComplete answers q completely on every registered source: the
-// fan-out is parallel across shards (one sub-request per shard, bounded by
-// the cluster pool) and sequential within a shard. A down shard degrades
-// its own sources to the flagged local approximation and never fails the
-// scatter; only a dead context or a solver error aborts the whole call.
+// fan-out is parallel across shards (one sub-request per shard, on the
+// cluster's scatter pool) and sequential within a shard. A down shard
+// degrades its own sources to the flagged local approximation and never
+// fails the scatter; only a dead context or a solver error aborts the whole
+// call.
 func (c *Cluster) ScatterComplete(ctx context.Context, q query.Query) (*Scatter, error) {
-	return c.scatter(ctx, q, false, true)
-}
-
-// ScatterCompleteSeq is ScatterComplete without the cross-shard
-// parallelism: shards are visited one after the other. Kept as the
-// differential-testing and benchmarking baseline — answers must be
-// identical to ScatterComplete's, only slower.
-func (c *Cluster) ScatterCompleteSeq(ctx context.Context, q query.Query) (*Scatter, error) {
-	return c.scatter(ctx, q, false, false)
+	return c.scatter(ctx, q, false)
 }
 
 // ScatterLocal answers q from local knowledge only, on every registered
 // source, parallel across shards. No source is contacted.
 func (c *Cluster) ScatterLocal(ctx context.Context, q query.Query) (*Scatter, error) {
-	return c.scatter(ctx, q, true, true)
+	return c.scatter(ctx, q, true)
 }
 
-func (c *Cluster) scatter(ctx context.Context, q query.Query, local, parallel bool) (*Scatter, error) {
+func (c *Cluster) scatter(ctx context.Context, q query.Query, local bool) (*Scatter, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -551,20 +533,11 @@ func (c *Cluster) scatter(ctx context.Context, q query.Query, local, parallel bo
 		}
 		results[pi] = out
 	}
-	if parallel {
-		// Pool.Each is a barrier; a non-nil return means the context died
-		// and at least one shard was never visited — the scatter is
-		// incomplete and must error rather than report a partial cluster.
-		if err := c.scatterPool.Each(ctx, len(plan), run); err != nil {
-			return nil, err
-		}
-	} else {
-		for pi := range plan {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			run(pi)
-		}
+	// Pool.Each is a barrier; a non-nil return means the context died and
+	// at least one shard was never visited — the scatter is incomplete and
+	// must error rather than report a partial cluster.
+	if err := c.scatterPool.Each(ctx, len(plan), run); err != nil {
+		return nil, err
 	}
 	s := &Scatter{}
 	for pi, p := range plan {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"incxml/internal/engine"
 	"incxml/internal/faulty"
 	"incxml/internal/tree"
 	"incxml/internal/webhouse"
@@ -188,9 +189,18 @@ func TestScatterCompleteExactAndOrdered(t *testing.T) {
 	}
 }
 
+// serialScatter makes c visit its shards one after the other: the scatter
+// pool gets a single worker, so Pool.Each takes its in-line path. It is the
+// sequential baseline of the differential test and the E22 smoke.
+func serialScatter(c *Cluster) *Cluster {
+	c.scatterPool = engine.NewPool(1)
+	return c
+}
+
 // TestScatterDifferentialParallelVsSeq pins the parallel scatter
-// byte-identical to the sequential baseline: same answers (compared via
-// CanonicalWithIDs), same shard classification.
+// byte-identical to the sequential baseline (the same cluster shape with a
+// one-worker scatter pool): same answers (compared via CanonicalWithIDs),
+// same shard classification.
 func TestScatterDifferentialParallelVsSeq(t *testing.T) {
 	build := func() (*Cluster, map[string]tree.Tree) {
 		c, worlds := fixture(t, Config{Shards: 4, Retry: fastRetry}, 9)
@@ -204,7 +214,7 @@ func TestScatterDifferentialParallelVsSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := cs.ScatterCompleteSeq(context.Background(), q)
+	ss, err := serialScatter(cs).ScatterComplete(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +371,8 @@ func TestScatterLocalNeverContactsSources(t *testing.T) {
 
 // TestE22ScatterSmoke is the E22 experiment in miniature: with injected
 // per-call source latency, the parallel scatter across 4 shards must beat
-// the sequential baseline wall-clock on the same cluster shape. Kept loose
+// the sequential baseline (a one-worker scatter pool) wall-clock on the same
+// cluster shape. Kept loose
 // (strictly faster, no factor) so CI load cannot flake it; the full curve
 // lives in cmd/benchrobust.
 func TestE22ScatterSmoke(t *testing.T) {
@@ -393,7 +404,7 @@ func TestE22ScatterSmoke(t *testing.T) {
 	}
 	q := workload.Query4()
 	t0 := time.Now()
-	ss, err := cSeq.ScatterCompleteSeq(context.Background(), q)
+	ss, err := serialScatter(cSeq).ScatterComplete(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,11 @@ go build ./...
 go test ./...
 go test -race ./...
 
+# The benchmark harness is its own Go module (perfbench/go.mod), so the
+# root build above never compiles it: vet and short-test it here so an API
+# change cannot pass this gate and still break the benchmark.
+(cd perfbench && go vet . && go test -short -count=1 .)
+
 # E20 smoke (EXPERIMENTS.md): the metrics/tracing pipeline must not cost
 # more than 5% of p99 serving latency. Short mode keeps the gate fast;
 # cmd/benchrobust produces the full-size numbers.
