@@ -13,12 +13,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"incxml/internal/extquery"
@@ -150,7 +148,7 @@ func benchE25(sessions int, zipfS float64, mixSpec string, seed int64, traceOut 
 			rep.SourceCounts[op.Source]++
 		}
 		start := time.Now()
-		status, respBody := postRead(client, ts.URL+path, body)
+		status, respBody := post(client, ts.URL+path, body)
 		dur := time.Since(start)
 
 		smp := sample{dur: dur, status: status}
@@ -205,17 +203,6 @@ func benchE25(sessions int, zipfS float64, mixSpec string, seed int64, traceOut 
 	fmt.Printf("e25: %d sessions, %d ops, mix %q, %d exact mismatches\n",
 		sessions, len(ops), rep.Mix, rep.ExactMismatches)
 	return rep
-}
-
-// postRead posts a body and returns the status code and response bytes.
-func postRead(client *http.Client, url, body string) (int, []byte) {
-	resp, err := client.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		return 0, nil
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, b
 }
 
 // extEnvelopeFields pulls the extension class, exactness verdict, and

@@ -334,8 +334,10 @@ func benchServe(workers, perWorker int) soakReport {
 	defer ts.Close()
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	const catalogBody = "catalog\n  product\n    name\n    price {< 200}\n    cat {= 1}\n      subcat\n"
-	blowupBody := func(i int) string { return fmt.Sprintf("root\n  a {= %d}\n  b {= %d}\n", i, i) }
+	catalogBody := answerBody("", catalogQuery)
+	blowupBody := func(i int) string {
+		return answerBody("blowup", fmt.Sprintf("root\n  a {= %d}\n  b {= %d}\n", i, i))
+	}
 
 	// Warm the catalog so local answers have knowledge to work from; the
 	// injected fault rate means a few tries may shed or fail.
@@ -367,22 +369,22 @@ func benchServe(workers, perWorker int) soakReport {
 				case 4:
 					path, body = "/complete", catalogBody
 				case 5:
-					path, body = "/explore?source=blowup", blowupBody(1+rng.Intn(8))
+					path, body = "/explore", blowupBody(1+rng.Intn(8))
 				case 6:
-					path, body = "/local?source=blowup", blowupBody(1+rng.Intn(8))
+					path, body = "/local", blowupBody(1+rng.Intn(8))
 				case 7:
-					path, body = "/local", "not a query {{{"
+					path, body = "/local", answerBody("", "not a query {{{")
 				case 8:
-					path, body = "/local?source=nope", catalogBody
+					path, body = "/local", answerBody("nope", catalogQuery)
 				default:
 					path, body = "/local", ""
 				}
 				start := time.Now()
-				code, err := post(client, ts.URL+path, body)
+				code, _ := post(client, ts.URL+path, body)
 				elapsed := time.Since(start)
 				mu.Lock()
 				latencies = append(latencies, elapsed)
-				if err != nil {
+				if code == 0 {
 					counts["error"]++
 				} else {
 					counts[fmt.Sprint(code)]++
@@ -422,7 +424,7 @@ func benchServe(workers, perWorker int) soakReport {
 // recorder (obs.SetEnabled(false)), in-process to keep network noise out
 // of the comparison.
 func benchOverhead(n int) overheadReport {
-	const body = "catalog\n  product\n    name\n    price {< 200}\n    cat {= 1}\n      subcat\n"
+	body := answerBody("", catalogQuery)
 	run := func(enabled bool) latencySummary {
 		prev := obs.SetEnabled(enabled)
 		defer obs.SetEnabled(prev)
@@ -741,7 +743,7 @@ func benchE23(rounds int) e23Report {
 		sum += r
 		for i := range sc.Answers {
 			sa := &sc.Answers[i]
-			if sa.Err == nil && sa.Certificate() != nil && sa.Certificate().Verdict == certify.Full {
+			if sa.Err == nil && sa.Answer.Certificate != nil && sa.Answer.Certificate.Verdict == certify.Full {
 				rep.HealthyFullAnswers++
 			}
 		}
@@ -806,14 +808,29 @@ func hardEmptyConj(k int) *conj.T {
 	return t
 }
 
-func post(client *http.Client, url, body string) (int, error) {
-	resp, err := client.Post(url, "text/plain", strings.NewReader(body))
+// catalogQuery is Query 1 of the catalog source.
+const catalogQuery = "catalog\n  product\n    name\n    price {< 200}\n    cat {= 1}\n      subcat\n"
+
+// answerBody renders a ps-query answer request for source ("" = the
+// catalog) as its JSON body.
+func answerBody(source, query string) string {
+	b, err := json.Marshal(serve.AnswerRequest{Source: source, Query: query})
 	if err != nil {
-		return 0, err
+		panic(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
+	return string(b)
+}
+
+// post posts a JSON body and returns the status code (0 on a transport
+// error) and the response bytes.
+func post(client *http.Client, url, body string) (int, []byte) {
+	resp, err := client.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		return 0, nil
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, b
 }
 
 func msSince(start time.Time) float64 {

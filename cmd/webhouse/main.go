@@ -194,8 +194,10 @@ func serveUntil(ctx context.Context, args []string, out io.Writer) error {
 	}
 	// Headers must arrive within the per-request deadline: a client
 	// trickling them never reaches the handler chain, where the body read
-	// and admission are bounded by the same deadline.
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: *timeout}
+	// and admission are bounded by the same deadline. The idle wait between
+	// keep-alive requests has the same bound: without it a client could pin
+	// connections by making one request each and going quiet.
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: *timeout, IdleTimeout: *timeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -11,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"incxml/internal/serve"
 )
 
 // syncBuffer is a goroutine-safe output sink for serveUntil.
@@ -67,9 +71,10 @@ func startServe(t *testing.T, args []string) (base string, out *syncBuffer, stop
 	}
 }
 
-func httpPost(t *testing.T, url, body string) (int, string) {
+// httpPost sends an answer request for the catalog source to url as JSON.
+func httpPost(t *testing.T, url, query string) (int, string) {
 	t.Helper()
-	resp, err := http.Post(url, "text/plain", strings.NewReader(body))
+	resp, err := http.Post(url, "application/json", strings.NewReader(jsonBody(t, serve.AnswerRequest{Query: query})))
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
@@ -91,10 +96,10 @@ func TestServeCommandRestartRoundTrip(t *testing.T) {
 	args := []string{"-data-dir", dir, "-timeout", "5s"}
 
 	base, _, stop := startServe(t, args)
-	if code, body := httpPost(t, base+"/explore", query4Body); code != http.StatusOK {
+	if code, body := httpPost(t, base+"/explore", query4); code != http.StatusOK {
 		t.Fatalf("/explore: %d %s", code, body)
 	}
-	code, want := httpPost(t, base+"/local", query4Body)
+	code, want := httpPost(t, base+"/local", query4)
 	if code != http.StatusOK {
 		t.Fatalf("/local: %d %s", code, want)
 	}
@@ -106,7 +111,7 @@ func TestServeCommandRestartRoundTrip(t *testing.T) {
 	if !strings.Contains(out2.String(), "warm start from") {
 		t.Fatalf("second start has no warm-start banner:\n%s", out2.String())
 	}
-	code, got := httpPost(t, base2+"/local", query4Body)
+	code, got := httpPost(t, base2+"/local", query4)
 	if code != http.StatusOK {
 		t.Fatalf("restart /local: %d %s", code, got)
 	}
@@ -121,7 +126,7 @@ func TestServeCommandRestartRoundTrip(t *testing.T) {
 	}
 }
 
-const priceQueryBody = `catalog
+const priceQuery = `catalog
   product
     name
     price {< 200}
@@ -139,20 +144,17 @@ const priceQueryBody = `catalog
 // Completeness.Fingerprint field.
 func TestServeCommandExploreAfterRestart(t *testing.T) {
 	session := func(base string) {
-		for _, step := range []struct{ path, body string }{
-			{"/explore", query4Body},
-			{"/local", query4Body},
-		} {
-			if code, body := httpPost(t, base+step.path, step.body); code != http.StatusOK {
-				t.Fatalf("%s: %d %s", step.path, code, body)
+		for _, path := range []string{"/explore", "/local"} {
+			if code, body := httpPost(t, base+path, query4); code != http.StatusOK {
+				t.Fatalf("%s: %d %s", path, code, body)
 			}
 		}
 	}
 	exploreAndLocal := func(base string) string {
-		if code, body := httpPost(t, base+"/explore", priceQueryBody); code != http.StatusOK {
+		if code, body := httpPost(t, base+"/explore", priceQuery); code != http.StatusOK {
 			t.Fatalf("/explore (price): %d %s", code, body)
 		}
-		code, body := httpPost(t, base+"/local", priceQueryBody)
+		code, body := httpPost(t, base+"/local", priceQuery)
 		if code != http.StatusOK {
 			t.Fatalf("/local (price): %d %s", code, body)
 		}
@@ -215,5 +217,47 @@ func TestServeCommandCutsTrickledHeaders(t *testing.T) {
 	_, err = io.ReadAll(conn)
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatalf("server still holds a header-trickling connection after %v", time.Since(start))
+	}
+}
+
+// TestServeCommandClosesIdleKeepAlive: the real command bounds the idle
+// wait between keep-alive requests by its -timeout, so a client that
+// finishes one request and then goes quiet cannot pin the connection.
+func TestServeCommandClosesIdleKeepAlive(t *testing.T) {
+	base, _, stop := startServe(t, []string{"-timeout", "200ms"})
+	defer func() {
+		if err := stop(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := jsonBody(t, serve.AnswerRequest{Query: "catalog\n"})
+	if _, err := fmt.Fprintf(conn, "POST /local HTTP/1.1\r\nHost: idle\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Close {
+		t.Fatalf("/local on a keep-alive connection: status %d, close %v", resp.StatusCode, resp.Close)
+	}
+	// Send nothing more: the server must hang up on its own.
+	_, err = io.ReadAll(br)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server still holds an idle keep-alive connection after %v", time.Since(start))
 	}
 }

@@ -7,18 +7,33 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"incxml/internal/serve"
 )
 
-const query4Body = `catalog
+const query4 = `catalog
   product
     name
     cat {= 1}
       subcat {= 2}
 `
 
-func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
+const catalogQuery = "catalog\n  product\n    name\n    price {< 200}\n    cat {= 1}\n      subcat\n"
+
+// jsonBody renders an answer request as its JSON body.
+func jsonBody(t *testing.T, req serve.AnswerRequest) string {
 	t.Helper()
-	req := httptest.NewRequest("POST", path, strings.NewReader(body))
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// post sends an answer request for the catalog source to h as JSON.
+func post(t *testing.T, h http.Handler, path, query string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest("POST", path, strings.NewReader(jsonBody(t, serve.AnswerRequest{Query: query})))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
@@ -53,7 +68,7 @@ func TestServeHealthySession(t *testing.T) {
 	}
 	h := s.handler()
 
-	rec := post(t, h, "/explore", "catalog\n  product\n    name\n    price {< 200}\n    cat {= 1}\n      subcat\n")
+	rec := post(t, h, "/explore", catalogQuery)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/explore: %d %s", rec.Code, rec.Body)
 	}
@@ -61,7 +76,7 @@ func TestServeHealthySession(t *testing.T) {
 		t.Error("/explore returned an empty answer on the paper catalog")
 	}
 
-	rec = post(t, h, "/local", query4Body)
+	rec = post(t, h, "/local", query4)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/local: %d %s", rec.Code, rec.Body)
 	}
@@ -73,7 +88,7 @@ func TestServeHealthySession(t *testing.T) {
 		t.Error("unanswerable query certified complete")
 	}
 
-	rec = post(t, h, "/complete", query4Body)
+	rec = post(t, h, "/complete", query4)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/complete: %d %s", rec.Code, rec.Body)
 	}
@@ -113,7 +128,7 @@ func TestServeDeadlineMapsTo504(t *testing.T) {
 	}
 	h := s.handler()
 	start := time.Now()
-	rec := post(t, h, "/explore", query4Body)
+	rec := post(t, h, "/explore", query4)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Errorf("/explore against a stalled source: %d, want 504 (%s)", rec.Code, rec.Body)
 	}
@@ -130,13 +145,13 @@ func TestServeDegradedCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.handler()
-	rec := post(t, h, "/explore", "catalog\n  product\n    name\n    price {< 200}\n    cat {= 1}\n      subcat\n")
+	rec := post(t, h, "/explore", catalogQuery)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/explore: %d %s", rec.Code, rec.Body)
 	}
 	// Take the source down after the exploration succeeded.
 	s.inj.SetDown(true)
-	rec = post(t, h, "/complete", query4Body)
+	rec = post(t, h, "/complete", query4)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/complete during outage: %d %s (should degrade, not fail)", rec.Code, rec.Body)
 	}

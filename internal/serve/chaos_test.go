@@ -26,13 +26,13 @@ import (
 // fallback, and -race overhead.
 const requestEpsilon = 4 * time.Second
 
-// evalSize parses a request body as a ps-query and evaluates it on the
-// true source document — the brute-force oracle for exactness claims.
-func evalSize(t *testing.T, doc tree.Tree, body string) int {
+// evalSize parses a request's ps-query and evaluates it on the true
+// source document — the brute-force oracle for exactness claims.
+func evalSize(t *testing.T, doc tree.Tree, req AnswerRequest) int {
 	t.Helper()
-	q, err := query.Parse(body)
+	q, err := query.Parse(req.Query)
 	if err != nil {
-		t.Fatalf("oracle query %q: %v", body, err)
+		t.Fatalf("oracle query %q: %v", req.Query, err)
 	}
 	return q.Eval(doc).Size()
 }
@@ -84,7 +84,6 @@ func TestChaosSoak(t *testing.T) {
 
 	catDoc := workload.PaperCatalog()
 	blowDoc := workload.BlowupWorld()
-	query4Body := "catalog\n  product\n    name\n    cat {= 1}\n      subcat {= 2}\n"
 
 	// Section 4 extension traffic: the soak asserts the never-wrong
 	// contract — intractable classes (negation, join) may only ever answer
@@ -98,7 +97,7 @@ func TestChaosSoak(t *testing.T) {
 			extquery.N("product", cond.True(), extquery.V("cat", "x")),
 			extquery.N("product", cond.True(), extquery.V("cat", "x")))},
 	} {
-		body := extBody(t, ExtRequestOf("catalog", q, 0))
+		body := jsonBody(t, ExtRequestOf("catalog", q, 0))
 		extQueries[body] = q
 		extOracle[body] = q.Answer(catDoc).Size()
 	}
@@ -108,13 +107,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	sort.Strings(extBodies)
 	// Reduction traffic with known oracle verdicts.
-	redBody := func(req ReductionRequest) string {
-		b, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
+	redBody := func(req ReductionRequest) string { return jsonBody(t, req) }
 	redWant := map[string]string{
 		redBody(ReductionRequest{Kind: "3sat", NumVars: 2, Clauses: [][]int{{1, 2}, {-1}}}):           "yes",
 		redBody(ReductionRequest{Kind: "3sat", NumVars: 1, Clauses: [][]int{{1}, {-1}}}):              "no",
@@ -138,23 +131,27 @@ func TestChaosSoak(t *testing.T) {
 
 	type result struct {
 		path    string
-		body    string
+		req     any    // the posted request value
+		body    string // and its rendering
 		code    int
 		resp    []byte
 		retry   string
 		elapsed time.Duration
 	}
-	do := func(path, body string) result {
-		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+	do := func(path string, req any) result {
+		body := jsonBody(t, req)
 		rec := httptest.NewRecorder()
 		start := time.Now()
-		h.ServeHTTP(rec, req)
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
 		return result{
-			path: path, body: body, code: rec.Code,
+			path: path, req: req, body: body, code: rec.Code,
 			resp: rec.Body.Bytes(), retry: rec.Header().Get("Retry-After"),
 			elapsed: time.Since(start),
 		}
 	}
+	// A malformed query field and an empty body are client errors; only
+	// admission may turn them away first.
+	malformed := AnswerRequest{Query: "not a query {{{"}
 
 	const workers = 8
 	const perWorker = 25
@@ -174,15 +171,15 @@ func TestChaosSoak(t *testing.T) {
 				case 4:
 					results <- do("/complete", query4Body)
 				case 5, 6:
-					results <- do("/explore?source=blowup", blowupBody(1+rng.Intn(8)))
+					results <- do("/explore", blowupBody(1+rng.Intn(8)))
 				case 7:
-					results <- do("/local?source=blowup", blowupBody(1+rng.Intn(8)))
+					results <- do("/local", blowupBody(1+rng.Intn(8)))
 				case 8:
 					switch rng.Intn(3) {
 					case 0:
-						results <- do("/local", "not a query {{{")
+						results <- do("/local", malformed)
 					case 1:
-						results <- do("/local?source=nope", query4Body)
+						results <- do("/local", AnswerRequest{Source: "nope", Query: query4})
 					default:
 						results <- do("/explore", "")
 					}
@@ -215,6 +212,13 @@ func TestChaosSoak(t *testing.T) {
 			t.Errorf("%s: unexpected status %d: %s", r.path, r.code, r.resp)
 			continue
 		}
+		if r.req == malformed || r.body == "" {
+			switch r.code {
+			case http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			default:
+				t.Errorf("%s %q: %d, want 400: %s", r.path, r.body, r.code, r.resp)
+			}
+		}
 		switch r.code {
 		case http.StatusInternalServerError:
 			if !strings.Contains(string(r.resp), "recovered panic") {
@@ -233,7 +237,7 @@ func TestChaosSoak(t *testing.T) {
 				continue
 			}
 			doc := catDoc
-			if strings.Contains(r.path, "source=blowup") {
+			if ar, ok := r.req.(AnswerRequest); ok && ar.Source == "blowup" {
 				doc = blowDoc
 			}
 			// Every 200 is a v1 envelope carrying a completeness section.
@@ -248,7 +252,7 @@ func TestChaosSoak(t *testing.T) {
 			if strings.HasPrefix(r.path, "/local") {
 				if dig(m, "local", "fullyV") == "yes" {
 					fullYes++
-					if got, want := int(dig(m, "answer", "nodes").(float64)), evalSize(t, doc, r.body); got != want {
+					if got, want := int(dig(m, "answer", "nodes").(float64)), evalSize(t, doc, r.req.(AnswerRequest)); got != want {
 						t.Errorf("%s %q: claims fully answerable with %d nodes, world has %d",
 							r.path, r.body, got, want)
 					}
@@ -257,7 +261,7 @@ func TestChaosSoak(t *testing.T) {
 			if strings.HasPrefix(r.path, "/complete") {
 				if m["degraded"] == false {
 					exactCompletes++
-					if got, want := int(dig(m, "answer", "nodes").(float64)), evalSize(t, doc, r.body); got != want {
+					if got, want := int(dig(m, "answer", "nodes").(float64)), evalSize(t, doc, r.req.(AnswerRequest)); got != want {
 						t.Errorf("%s %q: non-degraded completion has %d nodes, world has %d",
 							r.path, r.body, got, want)
 					}

@@ -153,26 +153,29 @@ func TestWarmRestartServesSameAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	h1 := s1.Handler()
-	for _, body := range []string{catalogBody, "catalog\n  product\n    name\n    picture\n"} {
+	for _, body := range []AnswerRequest{catalogBody, {Query: "catalog\n  product\n    name\n    picture\n"}} {
 		if rec := post(t, h1, "/explore", body); rec.Code != http.StatusOK {
 			t.Fatalf("explore: %d (%s)", rec.Code, rec.Body)
 		}
 	}
-	if rec := post(t, h1, "/explore?source=blowup", blowupBody(1)); rec.Code != http.StatusOK {
+	if rec := post(t, h1, "/explore", blowupBody(1)); rec.Code != http.StatusOK {
 		t.Fatalf("explore blowup: %d (%s)", rec.Code, rec.Body)
 	}
-	probes := []struct{ path, body string }{
-		{"/local", catalogBody},
-		{"/local?source=blowup", blowupBody(1)},
-		{"/complete", catalogBody},
+	probes := []struct {
+		name, path string
+		body       AnswerRequest
+	}{
+		{"local", "/local", catalogBody},
+		{"local blowup", "/local", blowupBody(1)},
+		{"complete", "/complete", catalogBody},
 	}
 	want := map[string]string{}
 	for _, p := range probes {
 		rec := post(t, h1, p.path, p.body)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("probe %s: %d (%s)", p.path, rec.Code, rec.Body)
+			t.Fatalf("probe %s: %d (%s)", p.name, rec.Code, rec.Body)
 		}
-		want[p.path] = rec.Body.String()
+		want[p.name] = rec.Body.String()
 	}
 	if err := s1.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -196,10 +199,10 @@ func TestWarmRestartServesSameAnswers(t *testing.T) {
 	for _, p := range probes {
 		rec := post(t, h2, p.path, p.body)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("restart probe %s: %d (%s)", p.path, rec.Code, rec.Body)
+			t.Fatalf("restart probe %s: %d (%s)", p.name, rec.Code, rec.Body)
 		}
-		if got := rec.Body.String(); got != want[p.path] {
-			t.Fatalf("%s envelope changed across warm restart:\n got: %s\nwant: %s", p.path, got, want[p.path])
+		if got := rec.Body.String(); got != want[p.name] {
+			t.Fatalf("%s envelope changed across warm restart:\n got: %s\nwant: %s", p.name, got, want[p.name])
 		}
 	}
 	if err := s2.Drain(context.Background()); err != nil {

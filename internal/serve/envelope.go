@@ -2,9 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"net/http"
-	"strings"
 
+	"incxml/internal/budget"
 	"incxml/internal/certify"
 	"incxml/internal/query"
 	"incxml/internal/shard"
@@ -13,30 +12,32 @@ import (
 	"incxml/internal/xmlio"
 )
 
-// EnvelopeVersion is the current answer-envelope schema version. Version 0
-// is the legacy per-route ad-hoc shape, kept for one release behind ?v=0 or
-// an Accept-Version header and announced deprecated via the Deprecation
-// response header.
+// EnvelopeVersion is the answer-envelope schema version, the only one
+// served. Version 0, the pre-envelope per-route shapes, is retired:
+// requests asking for it are rejected with a 400 (see checkWire).
 const EnvelopeVersion = 1
 
 // AnswerEnvelope is the single versioned response shape of every answer
-// route (/explore, /local, /complete, /scatter/local, /scatter/complete):
-// one envelope, one encoder, instead of four hand-rolled renderers. Exactly
-// one of the optional sections is populated per route beyond Answer and
-// Completeness, which every route carries — an answer without a
-// completeness certificate no longer exists.
+// route: /explore, /local, /complete, /scatter/local, /scatter/complete,
+// /ext/query, /scatter/ext and /ext/reduction. Beyond the header fields,
+// each route fills the sections its answer has. Every route but
+// /ext/reduction, which decides a formula rather than a document, carries
+// Completeness; /scatter/ext carries it per source only.
 type AnswerEnvelope struct {
 	// V is the schema version (EnvelopeVersion).
 	V int `json:"v"`
 	// Route names the answer route that produced the envelope: "explore",
-	// "local", "complete", "scatter_local" or "scatter_complete".
+	// "local", "complete", "scatter_local", "scatter_complete",
+	// "ext_query", "scatter_ext" or "ext_reduction".
 	Route string `json:"route"`
 	// Source is the source the answer is about; empty on scatter envelopes
-	// (the per-source breakdown lives in Scatter.Answers).
+	// (the per-source breakdown lives in Scatter.Answers) and on
+	// ext_reduction.
 	Source string `json:"source,omitempty"`
 	// Degraded reports anything less than an exact answer: a source outage
-	// softened to the Theorem 3.14 approximation, or any degraded shard in a
-	// scatter. Cause carries the reason when one is known.
+	// softened to the Theorem 3.14 approximation, a budget-truncated
+	// evaluation, or any degraded shard in a scatter. Cause carries the
+	// reason when one is known.
 	Degraded bool   `json:"degraded"`
 	Cause    string `json:"cause,omitempty"`
 	// Answer is the gathered answer document; nil on scatter envelopes
@@ -170,8 +171,12 @@ func completenessOf(c *certify.Certificate) *Completeness {
 }
 
 // payloadOf renders an answer document into the envelope payload.
-func payloadOf(a tree.Tree, xml string) *AnswerPayload {
-	return &AnswerPayload{Nodes: a.Size(), XML: xml}
+func payloadOf(a tree.Tree) (*AnswerPayload, error) {
+	xml, err := xmlio.Marshal(a)
+	if err != nil {
+		return nil, err
+	}
+	return &AnswerPayload{Nodes: a.Size(), XML: xml}, nil
 }
 
 // facetsOf projects a local answer's facets.
@@ -188,66 +193,97 @@ func facetsOf(la *webhouse.LocalAnswer) *LocalFacets {
 	}
 }
 
-// envelopeLocal builds the /local envelope.
-func envelopeLocal(source string, la *webhouse.LocalAnswer) (*AnswerEnvelope, error) {
-	xml, err := xmlio.Marshal(la.Exact)
-	if err != nil {
-		return nil, err
+// extensionOf projects an extended answer's class and verdict.
+func extensionOf(ea *webhouse.ExtendedAnswer) *ExtensionInfo {
+	return &ExtensionInfo{
+		Class:           ea.Class.String(),
+		Tractable:       ea.Class.Tractable(),
+		ExactV:          ea.ExactV.String(),
+		Exact:           ea.ExactV == budget.Yes,
+		BudgetExhausted: ea.BudgetExhausted,
 	}
-	return &AnswerEnvelope{
-		V:            EnvelopeVersion,
-		Route:        "local",
-		Source:       source,
-		Degraded:     la.BudgetExhausted,
-		Answer:       payloadOf(la.Exact, xml),
-		Local:        facetsOf(la),
-		Completeness: completenessOf(la.Certificate),
-	}, nil
 }
 
-// envelopeComplete builds the /complete envelope.
-func envelopeComplete(source string, ca *webhouse.CompleteAnswer) (*AnswerEnvelope, error) {
-	xml, err := xmlio.Marshal(ca.Answer)
-	if err != nil {
-		return nil, err
+// The per-source projections: one source's answer onto the envelope
+// sections. Single-source envelopes and scatter entries share them.
+
+// explorePart projects an exploration of q. It returned the source's
+// exact answer, so its certificate is full.
+func explorePart(q query.Query) func(tree.Tree) (SourceEnvelope, error) {
+	return func(a tree.Tree) (SourceEnvelope, error) {
+		p, err := payloadOf(a)
+		return SourceEnvelope{Answer: p, Completeness: completenessOf(certify.Exact(q, a))}, err
 	}
-	env := &AnswerEnvelope{
-		V:            EnvelopeVersion,
-		Route:        "complete",
-		Source:       source,
+}
+
+func localPart(la *webhouse.LocalAnswer) (SourceEnvelope, error) {
+	p, err := payloadOf(la.Exact)
+	return SourceEnvelope{
+		Degraded:     la.BudgetExhausted,
+		Answer:       p,
+		Local:        facetsOf(la),
+		Completeness: completenessOf(la.Certificate),
+	}, err
+}
+
+func completePart(ca *webhouse.CompleteAnswer) (SourceEnvelope, error) {
+	p, err := payloadOf(ca.Answer)
+	se := SourceEnvelope{
 		Degraded:     ca.Degraded,
-		Answer:       payloadOf(ca.Answer, xml),
+		Answer:       p,
 		Completion:   &CompletionInfo{LocalQueries: ca.LocalQueries},
 		Completeness: completenessOf(ca.Certificate),
 	}
 	if ca.Degraded && ca.Cause != nil {
-		env.Cause = ca.Cause.Error()
+		se.Cause = ca.Cause.Error()
 	}
 	if ca.Degraded && ca.Local != nil {
-		env.Local = facetsOf(ca.Local)
+		se.Local = facetsOf(ca.Local)
 	}
-	return env, nil
+	return se, err
 }
 
-// envelopeExplore builds the /explore envelope; an exploration that
-// succeeded returns the source's exact answer, so its certificate is full.
-func envelopeExplore(source string, q query.Query, a tree.Tree) (*AnswerEnvelope, error) {
-	xml, err := xmlio.Marshal(a)
+func extendedPart(ea *webhouse.ExtendedAnswer) (SourceEnvelope, error) {
+	p, err := payloadOf(ea.Known)
+	return SourceEnvelope{
+		Degraded:     ea.BudgetExhausted,
+		Answer:       p,
+		Extension:    extensionOf(ea),
+		Completeness: completenessOf(ea.Certificate),
+	}, err
+}
+
+// single builds the envelope of a single-source route from the cluster
+// call's answer a (or its error err, passed through) and its projection.
+func single[T any](route, source string, a T, err error, part func(T) (SourceEnvelope, error)) (*AnswerEnvelope, error) {
+	if err != nil {
+		return nil, err
+	}
+	se, err := part(a)
 	if err != nil {
 		return nil, err
 	}
 	return &AnswerEnvelope{
 		V:            EnvelopeVersion,
-		Route:        "explore",
+		Route:        route,
 		Source:       source,
-		Answer:       payloadOf(a, xml),
-		Completeness: completenessOf(certify.Exact(q, a)),
+		Degraded:     se.Degraded,
+		Cause:        se.Cause,
+		Answer:       se.Answer,
+		Local:        se.Local,
+		Completion:   se.Completion,
+		Completeness: se.Completeness,
+		Extension:    se.Extension,
 	}, nil
 }
 
-// envelopeScatter builds the scatter envelopes (route "scatter_local" or
-// "scatter_complete").
-func envelopeScatter(route string, shards int, sc *shard.Scatter) (*AnswerEnvelope, error) {
+// scattered builds a scatter envelope from the cluster's scatter sc (or
+// its error err, passed through), projecting each source's answer with
+// part. A hard-failed source gets an error entry that certifies nothing.
+func scattered[T any](route string, shards int, sc *shard.Scatter[T], err error, part func(T) (SourceEnvelope, error)) (*AnswerEnvelope, error) {
+	if err != nil {
+		return nil, err
+	}
 	info := &ScatterInfo{
 		Shards:         shards,
 		CompleteShards: sc.CompleteShards,
@@ -255,144 +291,23 @@ func envelopeScatter(route string, shards int, sc *shard.Scatter) (*AnswerEnvelo
 		Answers:        make([]SourceEnvelope, 0, len(sc.Answers)),
 	}
 	for _, sa := range sc.Answers {
-		se := SourceEnvelope{
-			Source:       sa.Source,
-			Shard:        sa.Shard,
-			Degraded:     sa.Degraded(),
-			Completeness: completenessOf(sa.Certificate()),
+		var se SourceEnvelope
+		if sa.Err != nil {
+			se = SourceEnvelope{Error: sa.Err.Error(), Completeness: completenessOf(nil)}
+		} else if se, err = part(sa.Answer); err != nil {
+			return nil, err
 		}
-		switch {
-		case sa.Err != nil:
-			se.Error = sa.Err.Error()
-			se.Completeness = completenessOf(nil)
-		case sa.Complete != nil:
-			xml, err := xmlio.Marshal(sa.Complete.Answer)
-			if err != nil {
-				return nil, err
-			}
-			se.Answer = payloadOf(sa.Complete.Answer, xml)
-			se.Completion = &CompletionInfo{LocalQueries: sa.Complete.LocalQueries}
-			if sa.Complete.Degraded && sa.Complete.Cause != nil {
-				se.Cause = sa.Complete.Cause.Error()
-			}
-			if sa.Complete.Degraded && sa.Complete.Local != nil {
-				se.Local = facetsOf(sa.Complete.Local)
-			}
-		case sa.Local != nil:
-			xml, err := xmlio.Marshal(sa.Local.Exact)
-			if err != nil {
-				return nil, err
-			}
-			se.Answer = payloadOf(sa.Local.Exact, xml)
-			se.Local = facetsOf(sa.Local)
-		}
+		se.Source, se.Shard, se.Degraded = sa.Source, sa.Shard, sa.Degraded()
 		info.Answers = append(info.Answers, se)
 	}
-	return &AnswerEnvelope{
-		V:            EnvelopeVersion,
-		Route:        route,
-		Degraded:     sc.Degraded(),
-		Completeness: completenessOf(sc.Certificate),
-		Scatter:      info,
-	}, nil
-}
-
-// apiVersion negotiates the answer-envelope version of a request: ?v= wins,
-// then the Accept-Version header ("0"/"1", optionally "v"-prefixed); absent
-// both, the current version. Unknown versions are an error the caller maps
-// to a 400.
-func apiVersion(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("v")
-	if raw == "" {
-		raw = strings.TrimPrefix(strings.TrimSpace(r.Header.Get("Accept-Version")), "v")
+	env := &AnswerEnvelope{
+		V:        EnvelopeVersion,
+		Route:    route,
+		Degraded: sc.Degraded(),
+		Scatter:  info,
 	}
-	switch raw {
-	case "":
-		return EnvelopeVersion, nil
-	case "0":
-		return 0, nil
-	case "1":
-		return 1, nil
-	default:
-		return 0, fmt.Errorf("unknown API version %q (supported: 0, 1)", raw)
+	if sc.Certificate != nil {
+		env.Completeness = completenessOf(sc.Certificate)
 	}
-}
-
-// writeAnswer is the single answer encoder: version 1 writes the envelope
-// itself; version 0 writes the legacy per-route shape with a Deprecation
-// response header announcing its retirement.
-func writeAnswer(w http.ResponseWriter, version int, env *AnswerEnvelope) {
-	if version == 0 {
-		w.Header().Set("Deprecation", `version="v0"`)
-		writeJSON(w, legacyBody(env))
-		return
-	}
-	writeJSON(w, env)
-}
-
-// legacyBody projects an envelope onto the pre-v1 per-route response shape
-// (the four hand-rolled renderers this package used to have, now derived
-// from the one envelope).
-func legacyBody(env *AnswerEnvelope) any {
-	switch env.Route {
-	case "explore":
-		return map[string]any{"nodes": env.Answer.Nodes, "answer": env.Answer.XML}
-	case "local":
-		return map[string]any{
-			"fully":             env.Local.Fully,
-			"fullyV":            env.Local.FullyV,
-			"certainlyNonEmpty": env.Local.CertainlyNonEmpty,
-			"possiblyNonEmpty":  env.Local.PossiblyNonEmpty,
-			"lossy":             env.Local.Lossy,
-			"budgetExhausted":   env.Local.BudgetExhausted,
-			"nodes":             env.Answer.Nodes,
-			"answer":            env.Answer.XML,
-		}
-	case "complete":
-		out := map[string]any{
-			"degraded":     env.Degraded,
-			"localQueries": env.Completion.LocalQueries,
-			"nodes":        env.Answer.Nodes,
-			"answer":       env.Answer.XML,
-		}
-		if env.Degraded && env.Cause != "" {
-			out["cause"] = env.Cause
-		}
-		return out
-	default: // scatter_local, scatter_complete
-		answers := make([]map[string]any, 0, len(env.Scatter.Answers))
-		for _, se := range env.Scatter.Answers {
-			entry := map[string]any{
-				"source":   se.Source,
-				"shard":    se.Shard,
-				"degraded": se.Degraded,
-			}
-			switch {
-			case se.Error != "":
-				entry["error"] = se.Error
-			case se.Completion != nil:
-				entry["nodes"] = se.Answer.Nodes
-				entry["answer"] = se.Answer.XML
-				entry["localQueries"] = se.Completion.LocalQueries
-				if se.Cause != "" {
-					entry["cause"] = se.Cause
-				}
-			case se.Local != nil:
-				entry["nodes"] = se.Answer.Nodes
-				entry["answer"] = se.Answer.XML
-				entry["fully"] = se.Local.Fully
-				entry["certainlyNonEmpty"] = se.Local.CertainlyNonEmpty
-				entry["possiblyNonEmpty"] = se.Local.PossiblyNonEmpty
-				entry["budgetExhausted"] = se.Local.BudgetExhausted
-			}
-			answers = append(answers, entry)
-		}
-		return map[string]any{
-			"shards":         env.Scatter.Shards,
-			"degraded":       env.Degraded,
-			"completeShards": env.Scatter.CompleteShards,
-			"degradedShards": env.Scatter.DegradedShards,
-			"answers":        answers,
-		}
-	}
+	return env, nil
 }

@@ -33,7 +33,10 @@ func newHealthyServer(t *testing.T) (*Server, http.Handler) {
 // for the CI artifact when V1_FIXTURE_OUT is set.
 func TestEnvelopeV1RoundTrip(t *testing.T) {
 	_, h := newHealthyServer(t)
-	for _, tc := range []struct{ path, body string }{
+	for _, tc := range []struct {
+		path string
+		body AnswerRequest
+	}{
 		{"/explore", catalogBody},
 		{"/local", query4Body},
 		{"/complete", query4Body},
@@ -82,75 +85,6 @@ func TestEnvelopeV1RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV0AndV1Agree drives the same queries through both envelope versions
-// and checks the legacy fields are projections of the v1 envelope — the two
-// versions must describe the same underlying answer — and that v0 responses
-// carry the Deprecation header while v1 responses do not.
-func TestV0AndV1Agree(t *testing.T) {
-	_, h := newHealthyServer(t)
-
-	recV1 := post(t, h, "/local", query4Body)
-	recV0 := post(t, h, "/local?v=0", query4Body)
-	if recV1.Code != http.StatusOK || recV0.Code != http.StatusOK {
-		t.Fatalf("local: v1=%d v0=%d", recV1.Code, recV0.Code)
-	}
-	if recV0.Header().Get("Deprecation") == "" {
-		t.Error("v0 response without a Deprecation header")
-	}
-	if recV1.Header().Get("Deprecation") != "" {
-		t.Error("v1 response carries a Deprecation header")
-	}
-	var env AnswerEnvelope
-	if err := json.Unmarshal(recV1.Body.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	var legacy map[string]any
-	if err := json.Unmarshal(recV0.Body.Bytes(), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if legacy["fully"] != env.Local.Fully || legacy["fullyV"] != env.Local.FullyV {
-		t.Errorf("v0 fully=%v/%v, v1 %v/%v", legacy["fully"], legacy["fullyV"], env.Local.Fully, env.Local.FullyV)
-	}
-	if int(legacy["nodes"].(float64)) != env.Answer.Nodes || legacy["answer"] != env.Answer.XML {
-		t.Errorf("v0 and v1 disagree on the answer: %v nodes vs %d", legacy["nodes"], env.Answer.Nodes)
-	}
-	if _, hasV := legacy["v"]; hasV {
-		t.Error("legacy body leaks the v1 version field")
-	}
-
-	// The Accept-Version header negotiates the same legacy shape. A
-	// throwaway completion first: the initial /complete folds the fetched
-	// results into the knowledge, so without it the two compared requests
-	// would legitimately differ in localQueries (completion vs. fast path).
-	if rec := post(t, h, "/complete", query4Body); rec.Code != http.StatusOK {
-		t.Fatalf("warm-up complete: %d (%s)", rec.Code, rec.Body)
-	}
-	req := httptest.NewRequest("POST", "/complete", strings.NewReader(query4Body))
-	req.Header.Set("Accept-Version", "v0")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("Accept-Version complete: %d (%s)", rec.Code, rec.Body)
-	}
-	if rec.Header().Get("Deprecation") == "" {
-		t.Error("Accept-Version: v0 response without a Deprecation header")
-	}
-	legacy = map[string]any{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	recV1 = post(t, h, "/complete", query4Body)
-	env = AnswerEnvelope{}
-	if err := json.Unmarshal(recV1.Body.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	if legacy["degraded"] != env.Degraded ||
-		int(legacy["localQueries"].(float64)) != env.Completion.LocalQueries ||
-		int(legacy["nodes"].(float64)) != env.Answer.Nodes {
-		t.Errorf("v0 and v1 completions disagree:\nv0: %v\nv1: %+v", legacy, env)
-	}
-}
-
 // TestUnknownVersionRejected: an unsupported version is a 400 carrying the
 // shared JSON error envelope.
 func TestUnknownVersionRejected(t *testing.T) {
@@ -168,31 +102,83 @@ func TestUnknownVersionRejected(t *testing.T) {
 	}
 }
 
-// TestUnifiedAnswerRequest exercises the JSON AnswerRequest decoder: a JSON
-// body must produce the same answer as the legacy raw-query body, and the
-// strict-decoding rejections (unknown fields, crossed consistency, sourced
-// scatters, negative budgets) must all be 400s with the error envelope.
+// TestV0FormsRejected: the retired v0 request forms fail loudly on every
+// answer route — a raw ps-query body, a version other than 1 in ?v= or
+// Accept-Version, and a ?source= parameter are each a 400 carrying the JSON
+// error envelope, never silently answered (a ?source= is never routed to
+// the catalog).
+func TestV0FormsRejected(t *testing.T) {
+	_, h := newHealthyServer(t)
+	routes := []struct {
+		path string
+		body any
+	}{
+		{"/explore", catalogBody},
+		{"/local", query4Body},
+		{"/complete", query4Body},
+		{"/scatter/local", query4Body},
+		{"/scatter/complete", query4Body},
+		{"/ext/query", ExtRequestOf("", branchingExtQuery(), 0)},
+		{"/scatter/ext", ExtRequestOf("", branchingExtQuery(), 0)},
+		{"/ext/reduction", ReductionRequest{Kind: "3sat", NumVars: 1, Clauses: [][]int{{1}}}},
+	}
+	for _, rt := range routes {
+		if rec := post(t, h, rt.path, rt.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: the v1 request itself fails: %d (%s)", rt.path, rec.Code, rec.Body)
+		}
+		for _, tc := range []struct {
+			name, query, header, want string
+			body                      any
+		}{
+			{name: "raw ps-query body", body: query4, want: "bad request body"},
+			{name: "?v=0", query: "?v=0", body: rt.body, want: "v0 is retired"},
+			{name: "Accept-Version: v0", header: "v0", body: rt.body, want: "v0 is retired"},
+			{name: "?source=", query: "?source=blowup", body: rt.body, want: `"source" field`},
+		} {
+			req := httptest.NewRequest("POST", rt.path+tc.query, strings.NewReader(jsonBody(t, tc.body)))
+			if tc.header != "" {
+				req.Header.Set("Accept-Version", tc.header)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %s: %d, want 400 (%s)", rt.path, tc.name, rec.Code, rec.Body)
+				continue
+			}
+			var e errorEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Errorf("%s %s: 400 body is not the error envelope: %v (%s)", rt.path, tc.name, err, rec.Body)
+				continue
+			}
+			if e.V != EnvelopeVersion || e.Status != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+				t.Errorf("%s %s: error envelope = %+v, want an error naming %q", rt.path, tc.name, e, tc.want)
+			}
+		}
+	}
+}
+
+// TestUnifiedAnswerRequest exercises the JSON AnswerRequest decoder: a body
+// naming the source and restating the route's consistency must answer as
+// the minimal body does, and the strict-decoding rejections (unknown
+// fields, crossed consistency, sourced scatters, negative budgets,
+// trailing data) must all be 400s with the error envelope.
 func TestUnifiedAnswerRequest(t *testing.T) {
 	_, h := newHealthyServer(t)
 
-	body, err := json.Marshal(AnswerRequest{Source: "catalog", Query: query4Body, Consistency: "local"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recJSON := post(t, h, "/local", string(body))
-	recRaw := post(t, h, "/local", query4Body)
-	if recJSON.Code != http.StatusOK {
-		t.Fatalf("JSON AnswerRequest: %d (%s)", recJSON.Code, recJSON.Body)
+	recFull := post(t, h, "/local", AnswerRequest{Source: "catalog", Query: query4, Consistency: "local"})
+	recMin := post(t, h, "/local", query4Body)
+	if recFull.Code != http.StatusOK {
+		t.Fatalf("full AnswerRequest: %d (%s)", recFull.Code, recFull.Body)
 	}
 	var a, b AnswerEnvelope
-	if err := json.Unmarshal(recJSON.Body.Bytes(), &a); err != nil {
+	if err := json.Unmarshal(recFull.Body.Bytes(), &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(recRaw.Body.Bytes(), &b); err != nil {
+	if err := json.Unmarshal(recMin.Body.Bytes(), &b); err != nil {
 		t.Fatal(err)
 	}
 	if a.Answer.Nodes != b.Answer.Nodes || a.Local.Fully != b.Local.Fully {
-		t.Errorf("JSON and raw bodies answered differently: %+v vs %+v", a.Answer, b.Answer)
+		t.Errorf("full and minimal bodies answered differently: %+v vs %+v", a.Answer, b.Answer)
 	}
 
 	for _, tc := range []struct{ name, path, body string }{
@@ -215,8 +201,7 @@ func TestUnifiedAnswerRequest(t *testing.T) {
 
 	// A JSON request naming the budget field runs under that step cap and
 	// still succeeds (the cap tightens the solver budget, never errors).
-	body, _ = json.Marshal(AnswerRequest{Query: query4Body, Budget: 1})
-	rec := post(t, h, "/local", string(body))
+	rec := post(t, h, "/local", AnswerRequest{Query: query4, Budget: 1})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("budgeted request: %d (%s)", rec.Code, rec.Body)
 	}

@@ -1,12 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 
 	"incxml/internal/budget"
 	"incxml/internal/cond"
@@ -14,8 +10,6 @@ import (
 	"incxml/internal/pathre"
 	"incxml/internal/reductions"
 	"incxml/internal/tree"
-	"incxml/internal/webhouse"
-	"incxml/internal/xmlio"
 )
 
 // ExtNode is the wire form of one extended-query pattern node (see
@@ -35,7 +29,7 @@ type ExtNode struct {
 
 // ExtRequest is the request body of POST /ext/query and /scatter/ext: a
 // Section 4 extended query as a JSON pattern tree plus the usual budget
-// cap. Extension routes are v1-only — there is no legacy shape to keep.
+// cap.
 type ExtRequest struct {
 	// Source names the target source; empty defaults to "catalog". The
 	// scatter route addresses the whole fleet and rejects a source.
@@ -95,6 +89,16 @@ func (req ExtRequest) Query() (extquery.Query, error) {
 	return extquery.Query{Root: root, Diseq: req.Diseq}, nil
 }
 
+func (req ExtRequest) shared() (string, int64, string) { return req.Source, req.Budget, "" }
+
+func (req ExtRequest) parse() (extquery.Query, error) {
+	q, err := req.Query()
+	if err != nil {
+		return q, fmt.Errorf("bad extended query: %w", err)
+	}
+	return q, nil
+}
+
 // ExtRequestOf renders an extquery.Query into its wire form — the inverse
 // of ExtRequest.Query, for clients (and the traffic generator) built on
 // the in-process query values.
@@ -140,6 +144,63 @@ type ReductionRequest struct {
 	Budget int64 `json:"budget,omitempty"`
 }
 
+func (req ReductionRequest) shared() (string, int64, string) { return "", req.Budget, "" }
+
+// reduction is a parsed ReductionRequest: its kind and its budgeted
+// decider.
+type reduction struct {
+	kind   string
+	decide func(*budget.B) (budget.Tri, error)
+}
+
+// parse checks the kind, the variable count and every literal, and builds
+// the formula's decider.
+func (req ReductionRequest) parse() (reduction, error) {
+	if req.Kind != "3sat" && req.Kind != "dnf" {
+		return reduction{}, fmt.Errorf("unknown reduction kind %q (supported: 3sat, dnf)", req.Kind)
+	}
+	if req.NumVars < 1 || req.NumVars > maxVarsServed {
+		return reduction{}, fmt.Errorf("numVars must be in [1, %d]", maxVarsServed)
+	}
+	lits := func(raw []int) ([]reductions.Lit, error) {
+		out := make([]reductions.Lit, 0, len(raw))
+		for _, v := range raw {
+			l := reductions.Lit{Var: v, Neg: v < 0}
+			if v < 0 {
+				l.Var = -v
+			}
+			if l.Var < 1 || l.Var > req.NumVars {
+				return nil, fmt.Errorf("literal %d out of range", v)
+			}
+			out = append(out, l)
+		}
+		return out, nil
+	}
+	if req.Kind == "3sat" {
+		f := reductions.Formula{NumVars: req.NumVars}
+		for _, c := range req.Clauses {
+			ls, err := lits(c)
+			if err != nil {
+				return reduction{}, err
+			}
+			f.Clauses = append(f.Clauses, ls)
+		}
+		return reduction{req.Kind, f.SatisfiableBudgeted}, nil
+	}
+	d := reductions.DNF{NumVars: req.NumVars}
+	for i, c := range req.Clauses {
+		if len(c) != 3 {
+			return reduction{}, fmt.Errorf("dnf disjunct %d must have exactly 3 literals", i)
+		}
+		ls, err := lits(c)
+		if err != nil {
+			return reduction{}, err
+		}
+		d.Disjuncts = append(d.Disjuncts, reductions.Disjunct{ls[0], ls[1], ls[2]})
+	}
+	return reduction{req.Kind, d.ValidBudgeted}, nil
+}
+
 // ExtensionInfo is the envelope section of the extension routes: the
 // Section 4 class the request fell into and the three-valued verdict.
 type ExtensionInfo struct {
@@ -165,260 +226,28 @@ type ExtensionInfo struct {
 // unbudgeted request's worst case around a million masks.
 const maxVarsServed = 20
 
-// decodeExt decodes an ExtRequest for an extension route: strict JSON
-// only (no legacy text form), v1-only.
-func (s *Server) decodeExt(w http.ResponseWriter, r *http.Request, scatter bool) (req ExtRequest, q extquery.Query, ok bool) {
-	if !s.requireV1(w, r) {
-		return req, q, false
-	}
-	if !decodeStrictJSON(w, r, &req) {
-		return req, q, false
-	}
-	if scatter && req.Source != "" {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest,
-			"scatter routes address every source: drop the source field", 0)
-		return req, q, false
-	}
-	if req.Budget < 0 {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest, "budget must be non-negative", 0)
-		return req, q, false
-	}
-	if !scatter && req.Source == "" {
-		req.Source = "catalog"
-	}
-	q, err := req.Query()
-	if err != nil {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest,
-			fmt.Sprintf("bad extended query: %v", err), 0)
-		return req, q, false
-	}
-	return req, q, true
-}
-
-// requireV1 rejects v0 requests on extension routes: these routes were
-// born versioned, so there is no legacy shape to project onto.
-func (s *Server) requireV1(w http.ResponseWriter, r *http.Request) bool {
-	version, err := apiVersion(r)
-	if err != nil {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest, err.Error(), 0)
-		return false
-	}
-	if version != EnvelopeVersion {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest,
-			"extension routes require API version 1", 0)
-		return false
-	}
-	return true
-}
-
-// decodeStrictJSON decodes the buffered body (see readBody) as strict JSON
-// (unknown fields and trailing data are 400s).
-func decodeStrictJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest, err.Error(), 0)
-		return false
-	}
-	dec := json.NewDecoder(bytes.NewReader(bytes.TrimSpace(body)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest,
-			fmt.Sprintf("bad request body: %v", err), 0)
-		return false
-	}
-	if dec.More() {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest,
-			"bad request body: trailing data after JSON object", 0)
-		return false
-	}
-	return true
-}
-
-// extensionOf projects an extended answer's class and verdict into the
-// envelope section.
-func extensionOf(ea *webhouse.ExtendedAnswer) *ExtensionInfo {
-	return &ExtensionInfo{
-		Class:           ea.Class.String(),
-		Tractable:       ea.Class.Tractable(),
-		ExactV:          ea.ExactV.String(),
-		Exact:           ea.Exact,
-		BudgetExhausted: ea.BudgetExhausted,
-	}
-}
-
-// envelopeExt builds the /ext/query envelope.
-func envelopeExt(source string, ea *webhouse.ExtendedAnswer) (*AnswerEnvelope, error) {
-	xml, err := xmlio.Marshal(ea.Known)
-	if err != nil {
-		return nil, err
-	}
-	return &AnswerEnvelope{
-		V:            EnvelopeVersion,
-		Route:        "ext_query",
-		Source:       source,
-		Degraded:     ea.BudgetExhausted,
-		Answer:       payloadOf(ea.Known, xml),
-		Extension:    extensionOf(ea),
-		Completeness: completenessOf(ea.Certificate),
-	}, nil
-}
-
-// handleExtQuery answers a Section 4 extended query from one source's
-// local knowledge, with the three-valued exactness verdict and — when
-// Corollary 3.15 applied through a covering ps-query — a completeness
-// certificate.
-func (s *Server) handleExtQuery(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	req, q, ok := s.decodeExt(w, r, false)
-	if !ok {
-		return
-	}
-	ctx = budget.WithStepCap(ctx, req.Budget)
-	ea, err := s.cluster.AnswerExtended(ctx, req.Source, q)
-	if err != nil {
-		fail(w, EnvelopeVersion, err)
-		return
-	}
-	env, err := envelopeExt(req.Source, ea)
-	if err != nil {
-		fail(w, EnvelopeVersion, err)
-		return
-	}
-	writeAnswer(w, EnvelopeVersion, env)
-}
-
-// handleScatterExt answers an extended query on every registered source,
-// fanned out per shard; budget exhaustion degrades the affected shard,
-// mirroring /scatter/local.
-func (s *Server) handleScatterExt(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	req, q, ok := s.decodeExt(w, r, true)
-	if !ok {
-		return
-	}
-	ctx = budget.WithStepCap(ctx, req.Budget)
-	sc, err := s.cluster.ScatterExtended(ctx, q)
-	if err != nil {
-		fail(w, EnvelopeVersion, err)
-		return
-	}
-	info := &ScatterInfo{
-		Shards:         s.cluster.Shards(),
-		CompleteShards: sc.CompleteShards,
-		DegradedShards: sc.DegradedShards,
-		Answers:        make([]SourceEnvelope, 0, len(sc.Answers)),
-	}
-	for _, ea := range sc.Answers {
-		se := SourceEnvelope{Source: ea.Source, Shard: ea.Shard, Degraded: ea.Degraded()}
-		if ea.Err != nil {
-			se.Error = ea.Err.Error()
-			se.Completeness = completenessOf(nil)
-		} else {
-			xml, err := xmlio.Marshal(ea.Ext.Known)
-			if err != nil {
-				fail(w, EnvelopeVersion, err)
-				return
-			}
-			se.Answer = payloadOf(ea.Ext.Known, xml)
-			se.Extension = extensionOf(ea.Ext)
-			se.Completeness = completenessOf(ea.Ext.Certificate)
-		}
-		info.Answers = append(info.Answers, se)
-	}
-	writeAnswer(w, EnvelopeVersion, &AnswerEnvelope{
-		V:        EnvelopeVersion,
-		Route:    "scatter_ext",
-		Degraded: sc.Degraded(),
-		Scatter:  info,
-	})
-}
-
-// handleExtReduction runs a budgeted reductions-backed decider: 3-SAT
-// satisfiability (Theorem 3.6) or DNF validity (Theorem 4.1). The verdict
-// is three-valued: a definite answer is always the brute-force oracle's,
-// "unknown" means the budget ran out first.
-func (s *Server) handleExtReduction(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	if !s.requireV1(w, r) {
-		return
-	}
-	var req ReductionRequest
-	if !decodeStrictJSON(w, r, &req) {
-		return
-	}
-	if req.Kind != "3sat" && req.Kind != "dnf" {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest,
-			fmt.Sprintf("unknown reduction kind %q (supported: 3sat, dnf)", req.Kind), 0)
-		return
-	}
-	if req.NumVars < 1 || req.NumVars > maxVarsServed {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest,
-			fmt.Sprintf("numVars must be in [1, %d]", maxVarsServed), 0)
-		return
-	}
-	if req.Budget < 0 {
-		writeError(w, EnvelopeVersion, http.StatusBadRequest, "budget must be non-negative", 0)
-		return
-	}
-	lits := func(raw []int) ([]reductions.Lit, error) {
-		out := make([]reductions.Lit, 0, len(raw))
-		for _, v := range raw {
-			l := reductions.Lit{Var: v, Neg: v < 0}
-			if v < 0 {
-				l.Var = -v
-			}
-			if l.Var < 1 || l.Var > req.NumVars {
-				return nil, fmt.Errorf("literal %d out of range", v)
-			}
-			out = append(out, l)
-		}
-		return out, nil
-	}
-	ctx = budget.WithStepCap(ctx, req.Budget)
+// reduce is the /ext/reduction route: a budgeted reductions-backed
+// decider, 3-SAT satisfiability (Theorem 3.6) or DNF validity (Theorem
+// 4.1). The verdict is three-valued: a definite answer is always the
+// brute-force oracle's, "unknown" means the budget ran out first.
+func (s *Server) reduce(ctx context.Context, _ string, red reduction) (*AnswerEnvelope, error) {
 	bud := budget.New(ctx, s.effectiveReductionSteps(ctx))
-	var verdict budget.Tri
-	switch req.Kind {
-	case "3sat":
-		f := reductions.Formula{NumVars: req.NumVars}
-		for _, c := range req.Clauses {
-			ls, err := lits(c)
-			if err != nil {
-				writeError(w, EnvelopeVersion, http.StatusBadRequest, err.Error(), 0)
-				return
-			}
-			f.Clauses = append(f.Clauses, ls)
-		}
-		verdict, _ = f.SatisfiableBudgeted(bud)
-	case "dnf":
-		d := reductions.DNF{NumVars: req.NumVars}
-		for i, c := range req.Clauses {
-			if len(c) != 3 {
-				writeError(w, EnvelopeVersion, http.StatusBadRequest,
-					fmt.Sprintf("dnf disjunct %d must have exactly 3 literals", i), 0)
-				return
-			}
-			ls, err := lits(c)
-			if err != nil {
-				writeError(w, EnvelopeVersion, http.StatusBadRequest, err.Error(), 0)
-				return
-			}
-			d.Disjuncts = append(d.Disjuncts, reductions.Disjunct{ls[0], ls[1], ls[2]})
-		}
-		verdict, _ = d.ValidBudgeted(bud)
-	}
+	verdict, _ := red.decide(bud)
 	if bud.ExhaustedCause() == budget.CauseDeadline {
-		fail(w, EnvelopeVersion, bud.Err())
-		return
+		return nil, bud.Err()
 	}
-	s.reductionVerdicts.With(req.Kind, verdict.String()).Inc()
-	writeAnswer(w, EnvelopeVersion, &AnswerEnvelope{
+	s.reductionVerdicts.With(red.kind, verdict.String()).Inc()
+	return &AnswerEnvelope{
 		V:        EnvelopeVersion,
 		Route:    "ext_reduction",
 		Degraded: !verdict.Known(),
 		Extension: &ExtensionInfo{
-			Class:           req.Kind,
+			Class:           red.kind,
 			Tractable:       true,
 			Decision:        verdict.String(),
 			BudgetExhausted: !verdict.Known(),
 		},
-	})
+	}, nil
 }
 
 // effectiveReductionSteps folds the request step cap into the server's

@@ -13,16 +13,6 @@ import (
 	"incxml/internal/workload"
 )
 
-// extBody marshals an ExtRequest for posting.
-func extBody(t *testing.T, req ExtRequest) string {
-	t.Helper()
-	b, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
 // branchingExtQuery: two same-label product siblings (ClassBranching).
 func branchingExtQuery() extquery.Query {
 	return extquery.Query{Root: extquery.N("catalog", cond.True(),
@@ -56,7 +46,7 @@ func TestExtQueryRoute(t *testing.T) {
 	}
 	h := s.Handler()
 	// Acquire the whole catalog so extended answers are exact.
-	if rec := post(t, h, "/explore", "catalog!\n"); rec.Code != http.StatusOK {
+	if rec := post(t, h, "/explore", AnswerRequest{Query: "catalog!\n"}); rec.Code != http.StatusOK {
 		t.Fatalf("warm explore: %d %s", rec.Code, rec.Body.String())
 	}
 	world := workload.PaperCatalog()
@@ -72,7 +62,7 @@ func TestExtQueryRoute(t *testing.T) {
 		{"negation", negationExtQuery(), "negation", false},
 	}
 	for _, tc := range cases {
-		rec := post(t, h, "/ext/query", extBody(t, ExtRequestOf("catalog", tc.q, 0)))
+		rec := post(t, h, "/ext/query", ExtRequestOf("catalog", tc.q, 0))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: %d %s", tc.name, rec.Code, rec.Body.String())
 		}
@@ -117,10 +107,10 @@ func TestExtQueryVerdictNeverWrongUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	if rec := post(t, h, "/explore", "catalog!\n"); rec.Code != http.StatusOK {
+	if rec := post(t, h, "/explore", AnswerRequest{Query: "catalog!\n"}); rec.Code != http.StatusOK {
 		t.Fatalf("warm explore: %d %s", rec.Code, rec.Body.String())
 	}
-	rec := post(t, h, "/ext/query", extBody(t, ExtRequestOf("catalog", branchingExtQuery(), 1)))
+	rec := post(t, h, "/ext/query", ExtRequestOf("catalog", branchingExtQuery(), 1))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%d %s", rec.Code, rec.Body.String())
 	}
@@ -144,13 +134,6 @@ func TestExtReductionRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	body := func(req ReductionRequest) string {
-		b, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
 	decision := func(resp []byte) string {
 		var m map[string]any
 		if err := json.Unmarshal(resp, &m); err != nil {
@@ -172,7 +155,7 @@ func TestExtReductionRoute(t *testing.T) {
 		req  ReductionRequest
 		want string
 	}{{sat, "yes"}, {unsat, "no"}, {valid, "yes"}, {invalid, "no"}} {
-		rec := post(t, h, "/ext/reduction", body(tc.req))
+		rec := post(t, h, "/ext/reduction", tc.req)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%v: %d %s", tc.req, rec.Code, rec.Body.String())
 		}
@@ -184,7 +167,7 @@ func TestExtReductionRoute(t *testing.T) {
 	// Starved: a 10-var formula under a 3-step cap must answer unknown.
 	big := ReductionRequest{Kind: "3sat", NumVars: 10,
 		Clauses: [][]int{{1, 2, 3}, {-4, 5, -6}, {7, -8, 9}, {-10, 1, -2}}, Budget: 3}
-	rec := post(t, h, "/ext/reduction", body(big))
+	rec := post(t, h, "/ext/reduction", big)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("starved: %d %s", rec.Code, rec.Body.String())
 	}
@@ -200,26 +183,26 @@ func TestExtReductionRoute(t *testing.T) {
 	}
 
 	// Bad requests: unknown kind, out-of-range vars, malformed literal.
-	for _, bad := range []string{
-		body(ReductionRequest{Kind: "horn", NumVars: 2, Clauses: [][]int{{1}}}),
-		body(ReductionRequest{Kind: "3sat", NumVars: 64, Clauses: [][]int{{1}}}),
-		body(ReductionRequest{Kind: "3sat", NumVars: 2, Clauses: [][]int{{3}}}),
+	for _, bad := range []ReductionRequest{
+		{Kind: "horn", NumVars: 2, Clauses: [][]int{{1}}},
+		{Kind: "3sat", NumVars: 64, Clauses: [][]int{{1}}},
+		{Kind: "3sat", NumVars: 2, Clauses: [][]int{{3}}},
 	} {
 		if rec := post(t, h, "/ext/reduction", bad); rec.Code != http.StatusBadRequest {
-			t.Errorf("bad request %s got %d", bad, rec.Code)
+			t.Errorf("bad request %+v got %d", bad, rec.Code)
 		}
 	}
 }
 
 // TestScatterExtRoute: /scatter/ext answers every source with per-source
-// extension sections and per-shard health; v0 requests are rejected.
+// extension sections and per-shard health; malformed requests are 400s.
 func TestScatterExtRoute(t *testing.T) {
 	s, err := New(Config{Timeout: 5 * time.Second, Shards: 3, ExtraSources: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	rec := post(t, h, "/scatter/ext", extBody(t, ExtRequestOf("", branchingExtQuery(), 0)))
+	rec := post(t, h, "/scatter/ext", ExtRequestOf("", branchingExtQuery(), 0))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%d %s", rec.Code, rec.Body.String())
 	}
@@ -244,12 +227,12 @@ func TestScatterExtRoute(t *testing.T) {
 		}
 	}
 
-	// Extension routes are v1-only.
-	if rec := post(t, h, "/ext/query?v=0", extBody(t, ExtRequestOf("catalog", branchingExtQuery(), 0))); rec.Code != http.StatusBadRequest {
+	// v0 is retired on every route.
+	if rec := post(t, h, "/ext/query?v=0", ExtRequestOf("catalog", branchingExtQuery(), 0)); rec.Code != http.StatusBadRequest {
 		t.Errorf("v0 ext request got %d, want 400", rec.Code)
 	}
 	// A scatter request naming a source is a 400.
-	if rec := post(t, h, "/scatter/ext", extBody(t, ExtRequestOf("catalog", branchingExtQuery(), 0))); rec.Code != http.StatusBadRequest {
+	if rec := post(t, h, "/scatter/ext", ExtRequestOf("catalog", branchingExtQuery(), 0)); rec.Code != http.StatusBadRequest {
 		t.Errorf("scatter with source got %d, want 400", rec.Code)
 	}
 	// Unknown fields are a 400 (strict decode).

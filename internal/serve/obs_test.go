@@ -36,7 +36,7 @@ func driveTraffic(t *testing.T, s *Server) {
 	post(t, h, "/local", catalogBody)
 	post(t, h, "/local", catalogBody) // answer-cache hit
 	post(t, h, "/complete", catalogBody)
-	post(t, h, "/local?source=blowup", blowupBody(6))
+	post(t, h, "/local", blowupBody(6))
 	testHookHandler = func(r *http.Request) {
 		if r.URL.Query().Get("boom") != "" {
 			panic("metrics test fault")

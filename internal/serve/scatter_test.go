@@ -10,7 +10,10 @@ import (
 // query4Body is Example 3.4 ("list all cameras") — not fully answerable
 // after a Query-1 warm-up, so /complete and the scatter routes must run a
 // genuine Theorem 3.19 completion against the sources.
-const query4Body = "catalog\n  product\n    name\n    cat {= 1}\n      subcat {= 2}\n"
+const query4 = "catalog\n  product\n    name\n    cat {= 1}\n      subcat {= 2}\n"
+
+// query4Body asks Query 4 of the catalog source.
+var query4Body = AnswerRequest{Query: query4}
 
 // scatterCert pins the completeness section of the v1 envelope.
 type scatterCert struct {
@@ -55,7 +58,7 @@ func newShardedServer(t *testing.T) *Server {
 		if name == "blowup" {
 			continue
 		}
-		rec := post(t, h, "/explore?source="+name, catalogBody)
+		rec := post(t, h, "/explore", AnswerRequest{Source: name, Query: catalogQuery})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("warm %s: %d (%s)", name, rec.Code, rec.Body)
 		}
@@ -160,7 +163,7 @@ func TestScatterCompleteOneShardDown(t *testing.T) {
 			break
 		}
 	}
-	rec = post(t, h, "/complete?source="+name, query4Body)
+	rec = post(t, h, "/complete", AnswerRequest{Source: name, Query: query4})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/complete on a downed source: %d, want 200 (%s)", rec.Code, rec.Body)
 	}
@@ -180,7 +183,7 @@ func TestScatterCompleteOneShardDown(t *testing.T) {
 		if g.ID() == down || other == "blowup" {
 			continue
 		}
-		rec = post(t, h, "/complete?source="+other, query4Body)
+		rec = post(t, h, "/complete", AnswerRequest{Source: other, Query: query4})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("/complete on healthy %s: %d (%s)", other, rec.Code, rec.Body)
 		}

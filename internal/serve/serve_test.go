@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -12,19 +13,39 @@ import (
 	"time"
 )
 
-func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
+// post sends one request to path: a string body verbatim (bodies already
+// rendered, and the malformed ones), any other body — an AnswerRequest,
+// ExtRequest or ReductionRequest — as its JSON encoding.
+func post(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
-	req := httptest.NewRequest("POST", path, strings.NewReader(body))
+	req := httptest.NewRequest("POST", path, strings.NewReader(jsonBody(t, body)))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
 }
 
-func blowupBody(i int) string {
-	return fmt.Sprintf("root\n  a {= %d}\n  b {= %d}\n", i, i)
+// jsonBody renders a request body for posting (see post).
+func jsonBody(t *testing.T, body any) string {
+	t.Helper()
+	if s, ok := body.(string); ok {
+		return s
+	}
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
-const catalogBody = "catalog\n  product\n    name\n    price {< 200}\n    cat {= 1}\n      subcat\n"
+// blowupBody is the i-th Example 3.2 query on the blowup source.
+func blowupBody(i int) AnswerRequest {
+	return AnswerRequest{Source: "blowup", Query: fmt.Sprintf("root\n  a {= %d}\n  b {= %d}\n", i, i)}
+}
+
+const catalogQuery = "catalog\n  product\n    name\n    price {< 200}\n    cat {= 1}\n      subcat\n"
+
+// catalogBody asks Query 1 of the catalog source.
+var catalogBody = AnswerRequest{Query: catalogQuery}
 
 // waitFor polls cond for up to 2s.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -63,7 +84,7 @@ func TestTrickledBodyDoesNotWedgeAdmission(t *testing.T) {
 	waitFor(t, "the trickler to reach the handler chain", func() bool { return s.inWrap.Load() == 1 })
 
 	for i := 0; i < 4; i++ {
-		resp, err := http.Post(srv.URL+"/local", "text/plain", strings.NewReader(catalogBody))
+		resp, err := http.Post(srv.URL+"/local", "application/json", strings.NewReader(jsonBody(t, catalogBody)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,15 +207,15 @@ func TestPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestSourceRouting: ?source= selects the repository; unknown names map
-// to 404.
+// TestSourceRouting: the body's source field selects the repository;
+// unknown names map to 404.
 func TestSourceRouting(t *testing.T) {
 	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	rec := post(t, h, "/explore?source=blowup", blowupBody(1))
+	rec := post(t, h, "/explore", blowupBody(1))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/explore on blowup source: %d (%s)", rec.Code, rec.Body)
 	}
@@ -202,7 +223,7 @@ func TestSourceRouting(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/explore default source: %d (%s)", rec.Code, rec.Body)
 	}
-	rec = post(t, h, "/local?source=nope", catalogBody)
+	rec = post(t, h, "/local", AnswerRequest{Source: "nope", Query: catalogQuery})
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown source: %d, want 404 (%s)", rec.Code, rec.Body)
 	}
@@ -220,13 +241,13 @@ func TestBlowupUnderBudgetIsTimely(t *testing.T) {
 	}
 	h := s.Handler()
 	for i := 1; i <= 7; i++ {
-		rec := post(t, h, "/explore?source=blowup", blowupBody(i))
+		rec := post(t, h, "/explore", blowupBody(i))
 		if rec.Code != http.StatusOK && rec.Code != http.StatusGatewayTimeout {
 			t.Fatalf("explore %d: %d (%s)", i, rec.Code, rec.Body)
 		}
 	}
 	start := time.Now()
-	rec := post(t, h, "/local?source=blowup", blowupBody(8))
+	rec := post(t, h, "/local", blowupBody(8))
 	elapsed := time.Since(start)
 	switch rec.Code {
 	case http.StatusOK, http.StatusGatewayTimeout, http.StatusServiceUnavailable:

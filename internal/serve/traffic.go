@@ -3,22 +3,24 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"net/url"
 
 	"incxml/internal/workload"
 )
 
 // RequestForOp maps one generated workload op (see workload.GenerateTraffic)
-// onto the serving surface: the route path, including the source query
-// parameter where the route takes one, and the request body in that
-// route's wire shape. Classic ops post their ps-query text; extended ops
+// onto the serving surface: the route path and the JSON request body in
+// that route's wire shape. Classic ops post an AnswerRequest; extended ops
 // post an ExtRequest; reduction ops post a ReductionRequest. Both the
 // traffic benchmark and the replay tooling drive servers through this one
 // mapping so generated traces stay playable against any serve.Handler.
 func RequestForOp(op workload.Op) (path, body string, err error) {
 	switch op.Kind {
 	case workload.OpExplore, workload.OpLocal, workload.OpComplete:
-		return fmt.Sprintf("/%s?source=%s", op.Kind, url.QueryEscape(op.Source)), op.Query, nil
+		b, err := json.Marshal(AnswerRequest{Source: op.Source, Query: op.Query})
+		if err != nil {
+			return "", "", err
+		}
+		return "/" + string(op.Kind), string(b), nil
 	case workload.OpExtended:
 		if op.Ext == nil {
 			return "", "", fmt.Errorf("serve: extended op %d/%d has no pattern (replayed trace? regenerate from its config)", op.Session, op.Step)

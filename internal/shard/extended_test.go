@@ -47,14 +47,14 @@ func TestScatterExtendedRoutesAndOrders(t *testing.T) {
 		if ea.Err != nil {
 			t.Fatalf("%s: %v", ea.Source, ea.Err)
 		}
-		if ea.Ext.Class != extquery.ClassBranching {
-			t.Fatalf("%s: class %v, want branching", ea.Source, ea.Ext.Class)
+		if ea.Answer.Class != extquery.ClassBranching {
+			t.Fatalf("%s: class %v, want branching", ea.Source, ea.Answer.Class)
 		}
 		direct, err := c.AnswerExtended(ctx, ea.Source, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !direct.Known.Equal(ea.Ext.Known) {
+		if !direct.Known.Equal(ea.Answer.Known) {
 			t.Fatalf("%s: scatter answer differs from direct routing", ea.Source)
 		}
 	}
@@ -77,11 +77,11 @@ func TestScatterExtendedBudgetDegradesShard(t *testing.T) {
 		if ea.Err != nil {
 			t.Fatalf("%s: hard error instead of sound degrade: %v", ea.Source, ea.Err)
 		}
-		if !ea.Ext.BudgetExhausted {
+		if !ea.Answer.BudgetExhausted {
 			t.Fatalf("%s: not flagged exhausted under 1-step budget", ea.Source)
 		}
-		if ea.Ext.ExactV != budget.Unknown {
-			t.Fatalf("%s: degraded answer claims verdict %v", ea.Source, ea.Ext.ExactV)
+		if ea.Answer.ExactV != budget.Unknown {
+			t.Fatalf("%s: degraded answer claims verdict %v", ea.Source, ea.Answer.ExactV)
 		}
 	}
 	_, degraded := c.Scatters()

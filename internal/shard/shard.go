@@ -18,6 +18,7 @@ import (
 	"incxml/internal/budget"
 	"incxml/internal/certify"
 	"incxml/internal/engine"
+	"incxml/internal/extquery"
 	"incxml/internal/faulty"
 	"incxml/internal/itree"
 	"incxml/internal/query"
@@ -187,20 +188,21 @@ func (g *Group) BreakersOpen() int {
 	return n
 }
 
-// Requests reports the source operations routed through the shard, and
-// Degraded how many of them fell back to the flagged local approximation
-// (or failed outright).
+// Requests reports the source operations routed through the shard.
 func (g *Group) Requests() uint64 { return g.requests.Load() }
+
+// Degraded reports how many of the shard's source operations fell back to
+// a flagged approximation or failed outright.
 func (g *Group) Degraded() uint64 { return g.degraded.Load() }
 
-// Cluster is the scatter-gather front door: a ring of shard groups and the
-// routing and fan-out logic over them. All methods are safe for concurrent
-// use.
 // mergeFallbackSteps bounds the certificate-merge re-verification when the
 // cluster has no configured per-request step budget: large enough for any
 // realistic query, small enough that the gather path can never run hot.
 const mergeFallbackSteps = 1 << 20
 
+// Cluster is the scatter-gather front door: a ring of shard groups and the
+// routing and fan-out logic over them. All methods are safe for concurrent
+// use.
 type Cluster struct {
 	cfg  Config
 	ring *Ring
@@ -387,96 +389,113 @@ func (c *Cluster) AnswerComplete(ctx context.Context, source string, q query.Que
 	if err != nil {
 		return nil, err
 	}
-	return g.completeOne(ctx, source, q)
+	return completeCall(ctx, q).on(g, source)
 }
 
-// completeOne is AnswerComplete on one shard with the per-shard counters.
-func (g *Group) completeOne(ctx context.Context, source string, q query.Query) (*webhouse.CompleteAnswer, error) {
+// AnswerExtended routes a Section 4 extended query to the source's shard.
+// Extension queries inherit the shard's fault domain exactly like local
+// answers: a degraded (budget-exhausted) answer counts against the shard's
+// degradation counters.
+func (c *Cluster) AnswerExtended(ctx context.Context, source string, q extquery.Query) (*webhouse.ExtendedAnswer, error) {
+	g, err := c.Owner(source)
+	if err != nil {
+		return nil, err
+	}
+	return extendedCall(ctx, q).on(g, source)
+}
+
+// call is one per-source answer operation: run answers a source from its
+// shard's webhouse, and degraded reports an answer that is less than exact.
+type call[T any] struct {
+	run      func(wh *webhouse.Webhouse, source string) (T, error)
+	degraded func(T) bool
+}
+
+// on runs the call for source on g and counts it in the shard's counters:
+// every call as a request, and a failed or degraded one as degraded.
+func (k call[T]) on(g *Group, source string) (T, error) {
 	g.requests.Add(1)
-	ca, err := g.wh.AnswerComplete(ctx, source, q)
-	if err != nil || ca.Degraded {
+	a, err := k.run(g.wh, source)
+	if err != nil || k.degraded(a) {
 		g.degraded.Add(1)
 	}
-	return ca, err
+	return a, err
 }
 
-// localOne is AnswerLocally on one shard with the per-shard counters.
-func (g *Group) localOne(ctx context.Context, source string, q query.Query) (*webhouse.LocalAnswer, error) {
-	g.requests.Add(1)
-	la, err := g.wh.AnswerLocally(ctx, source, q)
-	if err != nil || la.BudgetExhausted {
-		g.degraded.Add(1)
+func localCall(ctx context.Context, q query.Query) call[*webhouse.LocalAnswer] {
+	return call[*webhouse.LocalAnswer]{
+		run: func(wh *webhouse.Webhouse, source string) (*webhouse.LocalAnswer, error) {
+			return wh.AnswerLocally(ctx, source, q)
+		},
+		degraded: func(la *webhouse.LocalAnswer) bool { return la.BudgetExhausted },
 	}
-	return la, err
 }
 
-// SourceAnswer is one source's contribution to a scatter.
-type SourceAnswer struct {
+func completeCall(ctx context.Context, q query.Query) call[*webhouse.CompleteAnswer] {
+	return call[*webhouse.CompleteAnswer]{
+		run: func(wh *webhouse.Webhouse, source string) (*webhouse.CompleteAnswer, error) {
+			return wh.AnswerComplete(ctx, source, q)
+		},
+		degraded: func(ca *webhouse.CompleteAnswer) bool { return ca.Degraded },
+	}
+}
+
+func extendedCall(ctx context.Context, q extquery.Query) call[*webhouse.ExtendedAnswer] {
+	return call[*webhouse.ExtendedAnswer]{
+		run: func(wh *webhouse.Webhouse, source string) (*webhouse.ExtendedAnswer, error) {
+			return wh.AnswerExtended(ctx, source, q)
+		},
+		degraded: func(ea *webhouse.ExtendedAnswer) bool { return ea.BudgetExhausted },
+	}
+}
+
+// SourceAnswer is one source's contribution to a scatter: its answer — a
+// *webhouse.LocalAnswer, *webhouse.CompleteAnswer or
+// *webhouse.ExtendedAnswer, by scatter — or a hard failure.
+type SourceAnswer[T any] struct {
 	// Source names the source and Shard the group that answered for it.
 	Source string
 	Shard  int
-	// Complete is set by ScatterComplete, Local by ScatterLocal.
-	Complete *webhouse.CompleteAnswer
-	Local    *webhouse.LocalAnswer
+	// Answer is the source's answer; nil when Err is set.
+	Answer T
 	// Err is a hard per-source failure (context expiry, solver error).
-	// Source outages do not land here — they degrade inside Complete.
+	// Source outages do not land here — a completion degrades instead.
 	Err error
-}
 
-// Certificate returns the answer's completeness certificate: the complete
-// answer's (which is the degraded local answer's when the source was down),
-// the local answer's, or nil for a hard-failed source — a nil certificate
-// certifies nothing, which is exactly what Merge assumes for it.
-func (sa SourceAnswer) Certificate() *certify.Certificate {
-	switch {
-	case sa.Complete != nil:
-		return sa.Complete.Certificate
-	case sa.Local != nil:
-		return sa.Local.Certificate
-	default:
-		return nil
-	}
+	degraded bool
 }
 
 // Degraded reports whether this answer is anything less than exact: a hard
 // failure, a flagged Theorem 3.14 approximation, or a budget-truncated
-// local answer.
-func (sa SourceAnswer) Degraded() bool {
-	if sa.Err != nil {
-		return true
-	}
-	if sa.Complete != nil && sa.Complete.Degraded {
-		return true
-	}
-	if sa.Local != nil && sa.Local.BudgetExhausted {
-		return true
-	}
-	return false
-}
+// answer.
+func (sa SourceAnswer[T]) Degraded() bool { return sa.degraded }
 
 // Scatter is the gathered result of a cluster-wide query: one answer per
 // registered source, sorted by source name, plus the per-shard health
 // classification the serving layer reports to clients.
-type Scatter struct {
-	Answers []SourceAnswer
+type Scatter[T any] struct {
+	Answers []SourceAnswer[T]
 	// CompleteShards lists shards whose every source answered exactly;
 	// DegradedShards those with at least one degraded or failed source.
 	// Shards with no sources appear in neither. Both are sorted.
 	CompleteShards []int
 	DegradedShards []int
-	// Certificate is the scatter-wide completeness certificate: the
-	// intersection of the per-source certified sub-queries (certify.Merge),
-	// with each source's own ratio in PerSource. A hard-failed source — a
-	// dead shard the degradation could not soften — contributes nothing, so
-	// its atoms drop out of the complete sub-query.
+	// Certificate is the scatter-wide completeness certificate of the
+	// ps-query scatters: the intersection of the per-source certified
+	// sub-queries (certify.Merge), with each source's own ratio in
+	// PerSource. A hard-failed source — a dead shard the degradation could
+	// not soften — contributes nothing, so its atoms drop out of the
+	// complete sub-query. Nil on extended scatters: extended languages are
+	// not a strong representation system (Section 4), so their per-source
+	// certificates do not intersect meaningfully.
 	Certificate *certify.Certificate
 }
 
 // Degraded reports whether any shard degraded.
-func (s *Scatter) Degraded() bool { return len(s.DegradedShards) > 0 }
+func (s *Scatter[T]) Degraded() bool { return len(s.DegradedShards) > 0 }
 
 // ByName returns the answer for a source, or nil.
-func (s *Scatter) ByName(source string) *SourceAnswer {
+func (s *Scatter[T]) ByName(source string) *SourceAnswer[T] {
 	i := sort.Search(len(s.Answers), func(i int) bool { return s.Answers[i].Source >= source })
 	if i < len(s.Answers) && s.Answers[i].Source == source {
 		return &s.Answers[i]
@@ -484,23 +503,32 @@ func (s *Scatter) ByName(source string) *SourceAnswer {
 	return nil
 }
 
-// ScatterComplete answers q completely on every registered source: the
-// fan-out is parallel across shards (one sub-request per shard, on the
-// cluster's scatter pool) and sequential within a shard. A down shard
-// degrades its own sources to the flagged local approximation and never
-// fails the scatter; only a dead context or a solver error aborts the whole
-// call.
-func (c *Cluster) ScatterComplete(ctx context.Context, q query.Query) (*Scatter, error) {
-	return c.scatter(ctx, q, false)
+// ScatterComplete answers q completely on every registered source. A down
+// shard degrades its own sources to the flagged local approximation and
+// never fails the scatter.
+func (c *Cluster) ScatterComplete(ctx context.Context, q query.Query) (*Scatter[*webhouse.CompleteAnswer], error) {
+	return scatterCertified(ctx, c, q, completeCall(ctx, q),
+		func(ca *webhouse.CompleteAnswer) *certify.Certificate { return ca.Certificate })
 }
 
 // ScatterLocal answers q from local knowledge only, on every registered
-// source, parallel across shards. No source is contacted.
-func (c *Cluster) ScatterLocal(ctx context.Context, q query.Query) (*Scatter, error) {
-	return c.scatter(ctx, q, true)
+// source. No source is contacted.
+func (c *Cluster) ScatterLocal(ctx context.Context, q query.Query) (*Scatter[*webhouse.LocalAnswer], error) {
+	return scatterCertified(ctx, c, q, localCall(ctx, q),
+		func(la *webhouse.LocalAnswer) *certify.Certificate { return la.Certificate })
 }
 
-func (c *Cluster) scatter(ctx context.Context, q query.Query, local bool) (*Scatter, error) {
+// ScatterExtended evaluates an extended query on every registered source;
+// per-source budget exhaustion degrades that source's shard.
+func (c *Cluster) ScatterExtended(ctx context.Context, q extquery.Query) (*Scatter[*webhouse.ExtendedAnswer], error) {
+	return scatter(ctx, c, extendedCall(ctx, q))
+}
+
+// scatter is the one fan-out behind every cluster-wide query: parallel
+// across shards (one sub-request per shard, on the cluster's scatter pool)
+// and sequential within a shard. Only a dead context aborts the whole call;
+// a per-source failure or degradation marks that source's shard degraded.
+func scatter[T any](ctx context.Context, c *Cluster, k call[T]) (*Scatter[T], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -516,19 +544,16 @@ func (c *Cluster) scatter(ctx context.Context, q query.Query, local bool) (*Scat
 			plan = append(plan, shardPlan{g, srcs})
 		}
 	}
-	results := make([][]SourceAnswer, len(plan))
+	results := make([][]SourceAnswer[T], len(plan))
 	run := func(pi int) {
 		p := plan[pi]
-		out := make([]SourceAnswer, 0, len(p.srcs))
+		out := make([]SourceAnswer[T], 0, len(p.srcs))
 		for _, src := range p.srcs {
-			sa := SourceAnswer{Source: src, Shard: p.g.id}
-			if err := ctx.Err(); err != nil {
-				sa.Err = err
-			} else if local {
-				sa.Local, sa.Err = p.g.localOne(ctx, src, q)
-			} else {
-				sa.Complete, sa.Err = p.g.completeOne(ctx, src, q)
+			sa := SourceAnswer[T]{Source: src, Shard: p.g.id}
+			if sa.Err = ctx.Err(); sa.Err == nil {
+				sa.Answer, sa.Err = k.on(p.g, src)
 			}
+			sa.degraded = sa.Err != nil || k.degraded(sa.Answer)
 			out = append(out, sa)
 		}
 		results[pi] = out
@@ -539,11 +564,11 @@ func (c *Cluster) scatter(ctx context.Context, q query.Query, local bool) (*Scat
 	if err := c.scatterPool.Each(ctx, len(plan), run); err != nil {
 		return nil, err
 	}
-	s := &Scatter{}
+	s := &Scatter[T]{}
 	for pi, p := range plan {
 		shardOK := true
 		for _, sa := range results[pi] {
-			if sa.Degraded() {
+			if sa.degraded {
 				shardOK = false
 			}
 			s.Answers = append(s.Answers, sa)
@@ -555,16 +580,33 @@ func (c *Cluster) scatter(ctx context.Context, q query.Query, local bool) (*Scat
 		}
 	}
 	sort.Slice(s.Answers, func(i, j int) bool { return s.Answers[i].Source < s.Answers[j].Source })
-	// Merge the per-source certificates into the scatter-wide one. The merge
-	// re-verifies the intersected sub-query against each source's knowledge
-	// snapshot under its own bounded budget (the configured per-request
-	// steps, or a generous fallback), so a dead deadline or a stingy budget
-	// shrinks the certificate instead of overclaiming. The snapshots are the
-	// sources' shared reachable trees, read here without recomputation.
+	c.scatters.Add(1)
+	if s.Degraded() {
+		c.scatterDegraded.Add(1)
+	}
+	return s, nil
+}
+
+// scatterCertified is scatter for a ps-query, plus the scatter-wide
+// certificate: cert reads each answer's own. The merge re-verifies the
+// intersected sub-query against each source's knowledge snapshot under its
+// own bounded budget (the configured per-request steps, or a generous
+// fallback), so a dead deadline or a stingy budget shrinks the certificate
+// instead of overclaiming. The snapshots are the sources' shared reachable
+// trees, read here without recomputation.
+func scatterCertified[T any](ctx context.Context, c *Cluster, q query.Query, k call[T], cert func(T) *certify.Certificate) (*Scatter[T], error) {
+	s, err := scatter(ctx, c, k)
+	if err != nil {
+		return nil, err
+	}
 	perSource := make(map[string]*certify.Certificate, len(s.Answers))
 	knows := make(map[string]*itree.T, len(s.Answers))
 	for _, sa := range s.Answers {
-		perSource[sa.Source] = sa.Certificate()
+		var own *certify.Certificate // a hard-failed source certifies nothing
+		if sa.Err == nil {
+			own = cert(sa.Answer)
+		}
+		perSource[sa.Source] = own
 		if g, err := c.Owner(sa.Source); err == nil {
 			if know, err := g.Webhouse().Knowledge(sa.Source); err == nil {
 				knows[sa.Source] = know
@@ -576,10 +618,6 @@ func (c *Cluster) scatter(ctx context.Context, q query.Query, local bool) (*Scat
 		steps = mergeFallbackSteps
 	}
 	s.Certificate = certify.Merge(q, perSource, knows, budget.New(ctx, steps))
-	c.scatters.Add(1)
-	if s.Degraded() {
-		c.scatterDegraded.Add(1)
-	}
 	return s, nil
 }
 

@@ -161,7 +161,7 @@ func TestScatterCompleteExactAndOrdered(t *testing.T) {
 			t.Errorf("%s degraded without any fault", sa.Source)
 		}
 		truth := q.Eval(worlds[sa.Source])
-		if !sa.Complete.Answer.Equal(truth) {
+		if !sa.Answer.Answer.Equal(truth) {
 			t.Errorf("%s: wrong exact answer", sa.Source)
 		}
 		if g, _ := c.Owner(sa.Source); g.ID() != sa.Shard {
@@ -226,7 +226,7 @@ func TestScatterDifferentialParallelVsSeq(t *testing.T) {
 		if p.Source != s.Source || p.Shard != s.Shard {
 			t.Fatalf("answer %d misaligned: %s/%d vs %s/%d", i, p.Source, p.Shard, s.Source, s.Shard)
 		}
-		if p.Complete.Answer.CanonicalWithIDs() != s.Complete.Answer.CanonicalWithIDs() {
+		if p.Answer.Answer.CanonicalWithIDs() != s.Answer.Answer.CanonicalWithIDs() {
 			t.Errorf("%s: parallel and sequential scatter disagree", p.Source)
 		}
 	}
@@ -276,24 +276,24 @@ func TestOneShardDownSoundness(t *testing.T) {
 				t.Fatalf("round %d: %s: hard error instead of degradation: %v", round, sa.Source, sa.Err)
 			}
 			if sa.Shard == downG.ID() {
-				if !sa.Complete.Degraded {
+				if !sa.Answer.Degraded {
 					t.Errorf("round %d: %s on the down shard answered exactly", round, sa.Source)
 					continue
 				}
-				if !errors.Is(sa.Complete.Cause, faulty.ErrUnavailable) {
-					t.Errorf("round %d: %s: cause does not wrap ErrUnavailable: %v", round, sa.Source, sa.Complete.Cause)
+				if !errors.Is(sa.Answer.Cause, faulty.ErrUnavailable) {
+					t.Errorf("round %d: %s: cause does not wrap ErrUnavailable: %v", round, sa.Source, sa.Answer.Cause)
 				}
 				// Theorem 3.14 soundness: the degraded answer is a lower
 				// approximation of the truth, and the possible-answer set
 				// has not excluded the truth.
-				assertSubsetOf(t, sa.Complete.Answer, truth, sa.Source)
-				if sa.Complete.Local == nil || !sa.Complete.Local.Possible.Member(truth) {
+				assertSubsetOf(t, sa.Answer.Answer, truth, sa.Source)
+				if sa.Answer.Local == nil || !sa.Answer.Local.Possible.Member(truth) {
 					t.Errorf("round %d: %s: possible set excludes the true answer", round, sa.Source)
 				}
 			} else {
 				if sa.Degraded() {
 					t.Errorf("round %d: %s degraded on a healthy shard", round, sa.Source)
-				} else if !sa.Complete.Answer.Equal(truth) {
+				} else if !sa.Answer.Answer.Equal(truth) {
 					t.Errorf("round %d: %s: wrong exact answer on a healthy shard", round, sa.Source)
 				}
 			}
@@ -357,7 +357,7 @@ func TestScatterLocalNeverContactsSources(t *testing.T) {
 		t.Fatalf("%d answers for 6 sources", len(s.Answers))
 	}
 	for _, sa := range s.Answers {
-		if sa.Err != nil || sa.Local == nil {
+		if sa.Err != nil || sa.Answer == nil {
 			t.Errorf("%s: %v", sa.Source, sa.Err)
 		}
 	}

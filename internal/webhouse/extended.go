@@ -2,7 +2,6 @@ package webhouse
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -58,8 +57,6 @@ type ExtendedAnswer struct {
 	// No is never reported: failing to certify exactness does not prove
 	// the answer inexact.
 	ExactV budget.Tri
-	// Exact is ExactV == Yes, kept for v0-era callers.
-	Exact bool
 	// Certificate is the Corollary 3.15 completeness certificate over the
 	// covering ps-query when one exists and the class is tractable; nil
 	// otherwise.
@@ -113,15 +110,6 @@ func extKey(q extquery.Query) string {
 	return b.String()
 }
 
-// storeExt is storeLocal's counterpart for extended answers.
-func (r *Repository) storeExt(gen uint64, key intern.ID, ea *ExtendedAnswer) {
-	r.cacheMu.Lock()
-	if r.gen.Load() == gen {
-		r.ext[key] = ea
-	}
-	r.cacheMu.Unlock()
-}
-
 // AnswerExtended evaluates an extended query against the repository's data
 // tree under the webhouse's cooperative budget and reports a three-valued
 // exactness verdict. Results are cached per source until the knowledge
@@ -137,15 +125,9 @@ func (wh *Webhouse) AnswerExtended(ctx context.Context, source string, q extquer
 		return nil, err
 	}
 	key := intern.String(extKey(q))
-	r.cacheMu.Lock()
-	ea, ok := r.ext[key]
-	r.cacheMu.Unlock()
-	if ok {
-		wh.cacheHits.Add(1)
-		cp := *ea
-		return &cp, nil
+	if ea, ok := lookup[ExtendedAnswer](wh, r, key); ok {
+		return ea, nil
 	}
-	wh.cacheMisses.Add(1)
 	gen, know := r.snapshot()
 	td := know.DataTree()
 
@@ -159,37 +141,22 @@ func (wh *Webhouse) AnswerExtended(ctx context.Context, source string, q extquer
 
 	out := &ExtendedAnswer{Class: q.Classify(), ExactV: budget.Unknown}
 	out.Known, err = q.AnswerBudgeted(td, bud)
+	degrade, err := wh.exhausted(ctx, bud, err)
 	if err != nil {
-		if !errors.Is(err, budget.ErrExhausted) {
-			return nil, err
-		}
-		wh.budgetExhaustions.Add(1)
-		if bud.ExhaustedCause() == budget.CauseDeadline {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, bud.Err()
-		}
+		return nil, err
+	}
+	if degrade {
 		// Step exhaustion: degrade soundly. The partial valuation set was
 		// discarded (it would under-report); serve an explicitly degraded
 		// empty answer with an Unknown verdict, uncached.
 		out.BudgetExhausted = true
-		extVerdicts.With(out.Class.String(), out.ExactV.String()).Inc()
-		return out, nil
-	}
-
-	if out.Class.Tractable() {
+	} else if out.Class.Tractable() {
 		if err := wh.certifyExtended(ctx, know, q, out, bud); err != nil {
 			return nil, err
 		}
 	}
-	out.Exact = out.ExactV == budget.Yes
 	extVerdicts.With(out.Class.String(), out.ExactV.String()).Inc()
-	if !out.BudgetExhausted {
-		r.storeExt(gen, key, out)
-	}
-	cp := *out
-	return &cp, nil
+	return keep(r, gen, key, out, out.BudgetExhausted), nil
 }
 
 // certifyExtended resolves the exactness verdict for a tractable-class
@@ -207,17 +174,11 @@ func (wh *Webhouse) certifyExtended(ctx context.Context, know *itree.T, q extque
 		cover = query.Query{Root: query.Bar(td.Root.Label, cond.True())}
 	}
 	fully, err := answer.FullyAnswerableBudgeted(know, cover, bud)
+	degrade, err := wh.exhausted(ctx, bud, err)
 	if err != nil {
-		if !errors.Is(err, budget.ErrExhausted) {
-			return err
-		}
-		wh.budgetExhaustions.Add(1)
-		if bud.ExhaustedCause() == budget.CauseDeadline {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			return bud.Err()
-		}
+		return err
+	}
+	if degrade {
 		out.BudgetExhausted = true
 		return nil
 	}

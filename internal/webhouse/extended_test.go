@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"incxml/internal/budget"
 	"incxml/internal/cond"
 	"incxml/internal/extquery"
 	"incxml/internal/pathre"
@@ -42,7 +43,7 @@ func TestAnswerExtendedExactWhenCovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Exact {
+	if got.ExactV != budget.Yes {
 		t.Error("covered extended query should be exact")
 	}
 	if !got.Known.IsEmpty() {
@@ -62,7 +63,7 @@ func TestAnswerExtendedInexactWhenUncovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Exact {
+	if got.ExactV == budget.Yes {
 		t.Error("uncovered extended query must not claim exactness")
 	}
 	if got.Known.Find("canon") == nil {
@@ -82,21 +83,21 @@ func TestAnswerExtendedNonMonotoneNeverExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Exact {
+	if got.ExactV == budget.Yes {
 		t.Error("negation query claimed exactness")
 	}
 	// Optional subtrees: likewise inexact.
 	qOpt := extquery.Query{Root: extquery.N("catalog", cond.True(),
 		extquery.N("product", cond.True(),
 			extquery.Optional(extquery.N("picture", cond.True()))))}
-	if got, err := wh.AnswerExtended(context.Background(), "catalog", qOpt); err != nil || got.Exact {
-		t.Errorf("optional query exactness = %v, err = %v", got.Exact, err)
+	if got, err := wh.AnswerExtended(context.Background(), "catalog", qOpt); err != nil || got.ExactV == budget.Yes {
+		t.Errorf("optional query exactness = %v, err = %v", got.ExactV, err)
 	}
 	// Path expressions: inexact.
 	qPath := extquery.Query{Root: extquery.N("catalog", cond.True(),
 		extquery.OnPath(extquery.N("subcat", cond.True()), pathre.AnyStar()))}
-	if got, err := wh.AnswerExtended(context.Background(), "catalog", qPath); err != nil || got.Exact {
-		t.Errorf("path query exactness = %v, err = %v", got.Exact, err)
+	if got, err := wh.AnswerExtended(context.Background(), "catalog", qPath); err != nil || got.ExactV == budget.Yes {
+		t.Errorf("path query exactness = %v, err = %v", got.ExactV, err)
 	}
 }
 

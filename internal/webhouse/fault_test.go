@@ -421,7 +421,7 @@ func TestInvalidateGenerationAtomic(t *testing.T) {
 				return
 			default:
 				gen := r.gen.Load()
-				r.storeLocal(gen, intern.String(fmt.Sprintf("g%d", gen)), &LocalAnswer{})
+				keep(r, gen, intern.String(fmt.Sprintf("g%d", gen)), &LocalAnswer{}, false)
 			}
 		}
 	}()

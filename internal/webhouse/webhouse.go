@@ -24,9 +24,9 @@
 // Each repository guards its refinement state with an RWMutex so many
 // readers (AnswerLocally, AnswerExtended, Knowledge) proceed in parallel
 // while acquisition (Explore, AnswerComplete, Invalidate, Update) is
-// exclusive; no lock is held across source I/O. Local answers are cached
-// per source under the query's canonical string and invalidated whenever
-// the knowledge changes.
+// exclusive; no lock is held across source I/O. Local and extended answers
+// are cached per source under the query's interned canonical string and
+// invalidated whenever the knowledge changes.
 package webhouse
 
 import (
@@ -151,8 +151,10 @@ type Repository struct {
 
 	cacheMu sync.Mutex
 	gen     atomic.Uint64
-	answers map[intern.ID]*LocalAnswer
-	ext     map[intern.ID]*ExtendedAnswer
+	// answers caches local and extended answers by interned query key (an
+	// extended query's key carries the "ext:" prefix, so the two never
+	// collide); see lookup and keep.
+	answers map[intern.ID]any
 
 	// quarantined marks a repository recovery could not restore: it serves
 	// from pristine (empty) knowledge, flagged so operators and stats can
@@ -163,12 +165,11 @@ type Repository struct {
 // invalidate marks the knowledge changed and drops all cached answers.
 // The generation bump and the map clear form one cacheMu critical section:
 // anyone holding cacheMu observes them atomically, so a cached entry can
-// never coexist with a newer generation (see storeLocal).
+// never coexist with a newer generation (see keep).
 func (r *Repository) invalidate() {
 	r.cacheMu.Lock()
 	r.gen.Add(1)
-	r.answers = map[intern.ID]*LocalAnswer{}
-	r.ext = map[intern.ID]*ExtendedAnswer{}
+	r.answers = map[intern.ID]any{}
 	r.cacheMu.Unlock()
 }
 
@@ -264,8 +265,7 @@ func (wh *Webhouse) Register(src *Source) {
 		Source:  src,
 		client:  faulty.NewDirect(src),
 		refiner: refine.NewRefiner(src.Type.Alphabet(), src.Type),
-		answers: map[intern.ID]*LocalAnswer{},
-		ext:     map[intern.ID]*ExtendedAnswer{},
+		answers: map[intern.ID]any{},
 	}
 }
 
@@ -525,30 +525,38 @@ type LocalAnswer struct {
 	Certificate *certify.Certificate
 }
 
-// lookupLocal consults a repository answer cache; see storeLocal for the
-// staleness protocol.
-func (wh *Webhouse) lookupLocal(r *Repository, key intern.ID) (*LocalAnswer, bool) {
+// lookup consults r's answer cache for key, counting the hit or miss. A
+// hit returns the caller's own copy of the cached answer.
+func lookup[T any](wh *Webhouse, r *Repository, key intern.ID) (*T, bool) {
 	r.cacheMu.Lock()
-	la, ok := r.answers[key]
+	a, ok := r.answers[key].(*T)
 	r.cacheMu.Unlock()
-	if ok {
-		wh.cacheHits.Add(1)
-	} else {
+	if !ok {
 		wh.cacheMisses.Add(1)
+		return nil, false
 	}
-	return la, ok
+	wh.cacheHits.Add(1)
+	cp := *a
+	return &cp, true
 }
 
-// storeLocal inserts a computed answer unless the knowledge changed since
-// the computation started. invalidate bumps gen and clears the maps in one
-// cacheMu critical section, so the gen check under cacheMu is exact: the
-// insert happens iff no invalidation intervened since the snapshot.
-func (r *Repository) storeLocal(gen uint64, key intern.ID, la *LocalAnswer) {
-	r.cacheMu.Lock()
-	if r.gen.Load() == gen {
-		r.answers[key] = la
+// keep caches a computed answer under key and returns the caller's copy.
+// A degraded answer is never cached: a later request with headroom (or a
+// raised budget) must be able to compute the exact answer. Nor is one
+// whose knowledge changed since the snapshot at gen: invalidate bumps gen
+// and clears the cache in one cacheMu critical section, so the gen check
+// under cacheMu is exact — the insert happens iff no invalidation
+// intervened.
+func keep[T any](r *Repository, gen uint64, key intern.ID, a *T, degraded bool) *T {
+	if !degraded {
+		r.cacheMu.Lock()
+		if r.gen.Load() == gen {
+			r.answers[key] = a
+		}
+		r.cacheMu.Unlock()
 	}
-	r.cacheMu.Unlock()
+	cp := *a
+	return &cp
 }
 
 // snapshot reads the repository's generation and knowledge consistently.
@@ -592,28 +600,19 @@ func (wh *Webhouse) computeLocal(ctx context.Context, know *itree.T, q query.Que
 	if err := engine.Default().Each(ctx, len(tasks), func(i int) { tasks[i]() }); err != nil {
 		return nil, err
 	}
-	exhausted := false
-	for _, err := range errs {
-		if err == nil {
-			continue
+	// The first facet error that is not budget exhaustion wins.
+	var err error
+	for _, e := range errs {
+		if e != nil && (err == nil || errors.Is(err, budget.ErrExhausted)) {
+			err = e
 		}
-		if !errors.Is(err, budget.ErrExhausted) {
-			return nil, err
-		}
-		exhausted = true
 	}
-	if exhausted {
-		wh.budgetExhaustions.Add(1)
+	degrade, err := wh.exhausted(ctx, bud, err)
+	if err != nil {
+		return nil, err
+	}
+	if degrade {
 		out.BudgetExhausted = true
-		if bud.ExhaustedCause() == budget.CauseDeadline {
-			// Deadline exhaustion is the caller's timeout, not overload the
-			// webhouse can shed work around: surface the context error so
-			// the serving layer maps it to a timeout response.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, bud.Err()
-		}
 		wh.fallbackLocal(know, q, out)
 	}
 	out.Fully = out.FullyV == budget.Yes
@@ -705,22 +704,36 @@ func (wh *Webhouse) AnswerLocally(ctx context.Context, source string, q query.Qu
 	// the stable 8-byte ID, so repeated lookups compare and hash a word
 	// instead of re-hashing the rendered query.
 	key := intern.String(q.String())
-	if la, ok := wh.lookupLocal(r, key); ok {
-		cp := *la
-		return &cp, nil
+	if la, ok := lookup[LocalAnswer](wh, r, key); ok {
+		return la, nil
 	}
 	gen, know := r.snapshot()
 	out, err := wh.computeLocal(ctx, know, q)
 	if err != nil {
 		return nil, err
 	}
-	// Degraded answers are never cached: a later request with headroom (or
-	// a raised budget) must be able to compute the exact answer.
-	if !out.BudgetExhausted {
-		r.storeLocal(gen, key, out)
+	return keep(r, gen, key, out, out.BudgetExhausted), nil
+}
+
+// exhausted applies the webhouse's one rule for a solver error under bud.
+// A nil error passes, and an error other than budget exhaustion is
+// returned as is. Exhaustion is counted; when the deadline ran out it is
+// the caller's timeout, not overload the webhouse can shed work around, so
+// the context error (or the budget's own) is returned for the serving
+// layer to map to a timeout response. When the step allowance ran out,
+// degrade is set: the caller degrades soundly instead of failing.
+func (wh *Webhouse) exhausted(ctx context.Context, bud *budget.B, err error) (degrade bool, _ error) {
+	if err == nil || !errors.Is(err, budget.ErrExhausted) {
+		return false, err
 	}
-	cp := *out
-	return &cp, nil
+	wh.budgetExhaustions.Add(1)
+	if bud.ExhaustedCause() == budget.CauseDeadline {
+		if cerr := ctx.Err(); cerr != nil {
+			return false, cerr
+		}
+		return false, bud.Err()
+	}
+	return true, nil
 }
 
 // CompleteAnswer is the result of AnswerComplete. When the source was

@@ -10,9 +10,10 @@ cd "$(dirname "$0")/.."
 go vet ./...
 # Format gate: every tracked Go file must be gofmt-clean.
 test -z "$(gofmt -l $(git ls-files '*.go'))"
-# Godoc gate: the public facade and the operator-facing packages must
-# document every exported symbol (see scripts/doclint).
-go run ./scripts/doclint incxml.go ./internal/obs ./internal/budget ./internal/serve ./internal/certify ./internal/store ./internal/workload ./internal/extquery ./internal/reductions
+# Godoc gate: the public facade, the operator-facing packages, and the
+# shard/webhouse API the serving layer is built on must document every
+# exported symbol (see scripts/doclint).
+go run ./scripts/doclint incxml.go ./internal/obs ./internal/budget ./internal/serve ./internal/certify ./internal/store ./internal/workload ./internal/extquery ./internal/reductions ./internal/shard ./internal/webhouse
 # staticcheck is optional tooling: run it when installed, skip silently
 # in minimal environments.
 if command -v staticcheck >/dev/null 2>&1; then
